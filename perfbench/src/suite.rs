@@ -30,8 +30,6 @@ pub struct Entry {
     pub workload: Arc<dyn Workload>,
     /// Multiplier on the per-workload access budget.
     pub access_scale: usize,
-    /// Nearly every access of this generator misses the TLBs and walks.
-    pub walk_heavy: bool,
 }
 
 /// SplitMix64, the standard 64-bit mixer.
@@ -64,12 +62,11 @@ pub fn pmu(seed: u64) -> PmuConfig {
 /// The standard suite (same entries, order and labels as
 /// `standard_suite()`), with generator seeds derived from `seed`.
 pub fn suite(seed: u64) -> Vec<Entry> {
-    fn entry(workload: impl Workload + 'static, access_scale: usize, walk_heavy: bool) -> Entry {
+    fn entry(workload: impl Workload + 'static, access_scale: usize) -> Entry {
         Entry {
             label: workload.name(),
             workload: Arc::new(workload),
             access_scale,
-            walk_heavy,
         }
     }
     let mut suite = vec![entry(
@@ -79,7 +76,6 @@ pub fn suite(seed: u64) -> Vec<Entry> {
             store_ratio: 0.0,
         },
         40,
-        false,
     )];
     for footprint in [8u64 << 20, 64 << 20, 512 << 20] {
         for stride in [256u64, 4096] {
@@ -88,7 +84,7 @@ pub fn suite(seed: u64) -> Vec<Entry> {
                 stride,
                 store_ratio: 0.0,
             };
-            suite.push(entry(linear, 1, stride == 4096));
+            suite.push(entry(linear, 1));
         }
     }
     let store_linear = LinearAccess {
@@ -96,14 +92,14 @@ pub fn suite(seed: u64) -> Vec<Entry> {
         stride: 64,
         store_ratio: 1.0,
     };
-    suite.push(entry(store_linear, 1, false));
+    suite.push(entry(store_linear, 1));
     for footprint in [16u64 << 20, 256 << 20, 4 << 30] {
         let random = RandomAccess {
             footprint,
             store_ratio: 0.2,
             seed: derive(seed, footprint),
         };
-        suite.push(entry(random, 1, true));
+        suite.push(entry(random, 1));
     }
     for (vertices, avg_degree) in [(200_000u64, 8u64), (2_000_000, 16)] {
         let graph = GraphTraversal {
@@ -111,20 +107,20 @@ pub fn suite(seed: u64) -> Vec<Entry> {
             avg_degree,
             seed: derive(seed, vertices),
         };
-        suite.push(entry(graph, 1, false));
+        suite.push(entry(graph, 1));
     }
     for nodes in [500_000u64, 8_000_000] {
         let chase = PointerChase {
             nodes,
             seed: derive(seed, nodes | 1),
         };
-        suite.push(entry(chase, 1, true));
+        suite.push(entry(chase, 1));
     }
     let streaming = Streaming {
         streams: 4,
         stream_bytes: 32 << 20,
     };
-    suite.push(entry(streaming, 1, false));
+    suite.push(entry(streaming, 1));
     for update_ratio in [0.05f64, 0.5] {
         let kv = KeyValue {
             records: 2_000_000,
@@ -133,7 +129,7 @@ pub fn suite(seed: u64) -> Vec<Entry> {
             zipf_theta: 0.99,
             seed: derive(seed, 99),
         };
-        suite.push(entry(kv, 1, false));
+        suite.push(entry(kv, 1));
     }
     suite
 }
@@ -178,7 +174,6 @@ mod tests {
             assert_eq!(a.workload.generate(2_000), b.workload.generate(2_000));
         }
         assert_eq!(pmu(DEFAULT_SEED).seed, PmuConfig::default().seed);
-        assert_eq!(ours.iter().filter(|e| e.walk_heavy).count(), 8);
     }
 
     #[test]

@@ -197,7 +197,7 @@ pub fn pass(inputs: &Inputs) -> Result<(Contract, Layers, f64), String> {
     let started = Instant::now();
     let threads = inputs.kind.threads();
     let observations = match inputs.kind {
-        Kind::CaseStudy | Kind::WalkStorm => collect(inputs, &mut layers, None),
+        Kind::CaseStudy => collect(inputs, &mut layers, None),
         Kind::SolveReplay => {
             let json = inputs.trace_json.as_deref().unwrap_or_default();
             let trace = timed(&mut layers, "collect.trace_parse_s", || {

@@ -1,4 +1,4 @@
-//! The three workloads: their inputs (built in set-up) and one untraced pass.
+//! The two workloads: their inputs (built in set-up) and one untraced pass.
 
 use crate::contract::Contract;
 use crate::suite;
@@ -23,11 +23,6 @@ pub enum Kind {
     /// 3 page sizes and the m0–m11 verdict matrix.  70% of its accesses are
     /// 64-B-stride scans on the TLB-hit path, so it shows per-access overhead.
     CaseStudy,
-    /// The walk-dominated generators of the suite (stride-4096 linear, random,
-    /// pointer-chase) at 4 KiB pages with the m0–m11 verdicts.  It uses the
-    /// simulator layer the other way from `case-study`, so a hit-path gain
-    /// paid for on the walk path shows.
-    WalkStorm,
     /// Observations replayed from a trace of the half-scale campaign, then the
     /// verdict matrix, the fig10 refinement lattice and the depth-2 grammar
     /// enumeration at 2 threads.  The simulator is bypassed, so the pass is
@@ -42,12 +37,11 @@ pub enum Kind {
 }
 
 impl Kind {
-    pub const ALL: [Kind; 3] = [Kind::CaseStudy, Kind::WalkStorm, Kind::SolveReplay];
+    pub const ALL: [Kind; 2] = [Kind::CaseStudy, Kind::SolveReplay];
 
     pub fn name(self) -> &'static str {
         match self {
             Kind::CaseStudy => "case-study",
-            Kind::WalkStorm => "walk-storm",
             Kind::SolveReplay => "solve-replay",
         }
     }
@@ -59,7 +53,7 @@ impl Kind {
     /// The seed the inputs are derived from (see [`Kind::SolveReplay`]).
     pub fn data_seed(self, seed: u64) -> u64 {
         match self {
-            Kind::CaseStudy | Kind::WalkStorm => seed,
+            Kind::CaseStudy => seed,
             Kind::SolveReplay => suite::DEFAULT_SEED,
         }
     }
@@ -67,7 +61,7 @@ impl Kind {
     /// Worker threads of the inquiry (`solve-replay` uses both cores).
     pub fn threads(self) -> usize {
         match self {
-            Kind::CaseStudy | Kind::WalkStorm => 1,
+            Kind::CaseStudy => 1,
             Kind::SolveReplay => 2,
         }
     }
@@ -126,12 +120,6 @@ impl Inputs {
                     suite::campaign(&entries, &ALL_PAGE_SIZES, EXPERIMENT_ACCESSES, seed);
                 (campaign, None)
             }
-            Kind::WalkStorm => {
-                let walk: Vec<_> = entries.into_iter().filter(|e| e.walk_heavy).collect();
-                let page_sizes = [PageSize::Size4K];
-                let campaign = suite::campaign(&walk, &page_sizes, EXPERIMENT_ACCESSES, seed);
-                (campaign, None)
-            }
             Kind::SolveReplay => {
                 let half = EXPERIMENT_ACCESSES / 2;
                 let campaign = suite::campaign(&entries, &ALL_PAGE_SIZES, half, seed);
@@ -156,7 +144,7 @@ impl Inputs {
     /// The session a pass runs (for `solve-replay`, after parsing the trace).
     fn inquiry(&self) -> Result<Inquiry, String> {
         let inquiry = match self.kind {
-            Kind::CaseStudy | Kind::WalkStorm => Inquiry::new().sim_campaign(
+            Kind::CaseStudy => Inquiry::new().sim_campaign(
                 self.campaign.clone(),
                 MmuConfig::haswell(),
                 self.pmu.clone(),
