@@ -15,13 +15,13 @@ use counterpoint::core::{FeasibilityVerdict, Observation, SearchGraph};
 use counterpoint::session::{Report, Verdict};
 use std::fmt::Write;
 
-/// Expected digests at the default seed, one per workload.
+/// Expected digests, one per workload.
 pub const PINNED: [(&str, u64); 2] = [
     ("case-study", 0x6284_03fa_985b_4f6b),
     ("solve-replay", 0xb506_1bf5_488c_dac4),
 ];
 
-/// The pinned digest of `workload` at the default seed.
+/// The pinned digest of `workload`.
 pub fn pinned(workload: &str) -> Option<u64> {
     PINNED.iter().find(|(w, _)| *w == workload).map(|&(_, d)| d)
 }

@@ -14,7 +14,7 @@
 //! README.md for the metrics and the steadiness record.
 
 mod contract;
-mod suite;
+mod reference;
 mod traced;
 mod workload;
 
@@ -84,23 +84,21 @@ fn peak_rss_mb() -> Result<f64, String> {
 
 /// Tallies passes against the expected digest.
 struct Checker {
-    expected: Option<u64>,
+    expected: u64,
     attempted: usize,
     failed: usize,
 }
 
 impl Checker {
-    /// Counts one pass; the first good digest becomes the expected one when
-    /// none is pinned.
+    /// Counts one pass.
     fn check(&mut self, workload: &str, digest: Result<u64, String>) {
         self.attempted += 1;
         let failure = match digest {
-            Ok(d) => match *self.expected.get_or_insert(d) {
-                expected if expected == d => None,
-                expected => Some(format!(
-                    "contract digest {d:#018x}, expected {expected:#018x}"
-                )),
-            },
+            Ok(d) if d == self.expected => None,
+            Ok(d) => Some(format!(
+                "contract digest {d:#018x}, expected {:#018x}",
+                self.expected
+            )),
             Err(e) => Some(format!("pass failed: {e}")),
         };
         if let Some(message) = failure {
@@ -112,13 +110,10 @@ impl Checker {
 
 /// Set-up plus the checked warm-up pass; returns the inputs, the checker
 /// seeded with the expected digest, and the set-up time.
-fn set_up(kind: Kind, seed: u64, started: Instant) -> (Inputs, Checker, f64) {
-    let inputs = Inputs::new(kind, seed);
-    let expected = (kind.data_seed(seed) == suite::DEFAULT_SEED)
-        .then(|| contract::pinned(kind.name()))
-        .flatten();
+fn set_up(kind: Kind, started: Instant) -> (Inputs, Checker, f64) {
+    let inputs = Inputs::new(kind);
     let mut checker = Checker {
-        expected,
+        expected: contract::pinned(kind.name()).expect("every workload has a pinned digest"),
         attempted: 0,
         failed: 0,
     };
@@ -127,8 +122,8 @@ fn set_up(kind: Kind, seed: u64, started: Instant) -> (Inputs, Checker, f64) {
 }
 
 /// Runs `kind` for `seconds` (at least one pass).
-fn run(kind: Kind, seed: u64, seconds: u64, trace: bool, started: Instant) -> Outcome {
-    let (inputs, mut checker, setup_s) = set_up(kind, seed, started);
+fn run(kind: Kind, seconds: u64, trace: bool, started: Instant) -> Outcome {
+    let (inputs, mut checker, setup_s) = set_up(kind, started);
     let name = kind.name();
     let mut setup_layers = traced::Layers::new();
     setup_layers.insert("models.cone_build_s", inputs.cone_build_s);
@@ -141,11 +136,14 @@ fn run(kind: Kind, seed: u64, seconds: u64, trace: bool, started: Instant) -> Ou
     }
 
     let mut passes = Vec::new();
+    let mut kernel = reference::Reference::new();
+    let mut reference_times = Vec::new();
     let mut traced_passes = Vec::new();
     let before = wait_and_steal();
     let loop_started = Instant::now();
     let deadline = loop_started + Duration::from_secs(seconds);
     loop {
+        reference_times.push(kernel.run());
         let outcome = workload::pass(&inputs);
         checker.check(
             name,
@@ -170,6 +168,7 @@ fn run(kind: Kind, seed: u64, seconds: u64, trace: bool, started: Instant) -> Ou
             break;
         }
     }
+    reference_times.push(kernel.run());
 
     let mut correct = checker.failed == 0 && !passes.is_empty();
     let mut metrics = Vec::new();
@@ -188,16 +187,27 @@ fn run(kind: Kind, seed: u64, seconds: u64, trace: bool, started: Instant) -> Ou
             metrics.push((metric, value, unit));
         }
     } else if !passes.is_empty() {
-        // `run_s` is the fastest pass.  Neighbours on the host only ever
-        // slow this memory-bound program (by up to 2.3x, in phases lasting
-        // seconds to minutes), so the minimum tracks the program and the
-        // median tracks the neighbours (README.md, "Steadiness").
+        // `run_s` is the median pass time in units of the reference kernel
+        // (the mean of its runs just before and just after the pass), times
+        // a constant near the kernel's quiet-host time.  Busy phases slow both
+        // alike, so the ratio cancels phases as long as the run
+        // (reference.rs; README.md, "Steadiness").
         let times: Vec<f64> = passes.iter().map(|p| p.pass_s).collect();
-        let [run_s, p25, p50, p75, max] = [0.0, 0.25, 0.5, 0.75, 1.0].map(|q| quantile(&times, q));
+        let ratios: Vec<f64> = times
+            .iter()
+            .zip(reference_times.windows(2))
+            .map(|(pass_s, around)| pass_s * 2.0 / (around[0] + around[1]))
+            .collect();
+        let run_s = median(&ratios) * reference::QUIET_S;
+        let [fastest, p25, p50, p75, max] =
+            [0.0, 0.25, 0.5, 0.75, 1.0].map(|q| quantile(&times, q));
+        let [reference_min, reference_median] = [0.0, 0.5].map(|q| quantile(&reference_times, q));
         eprintln!(
-            "{name}: {} passes, pass time min {run_s:.4} p25 {p25:.4} median {p50:.4} \
-             p75 {p75:.4} max {max:.4} s",
-            times.len()
+            "{name}: {} passes, pass time min {fastest:.4} p25 {p25:.4} median {p50:.4} \
+             p75 {p75:.4} max {max:.4} s; reference kernel min {reference_min:.4} \
+             median {reference_median:.4} s (quiet host {:.4} s)",
+            times.len(),
+            reference::QUIET_S
         );
         if let (Some((wait0, steal0)), Some((wait1, steal1))) = (before, wait_and_steal()) {
             let wait_ms = wait1.saturating_sub(wait0) as f64 / 1e6;
@@ -258,13 +268,12 @@ fn result_json(outcome: &Outcome) -> String {
 
 struct Args {
     kind: Kind,
-    seed: u64,
     seconds: u64,
     trace: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let (mut kind, mut seed, mut seconds, mut trace) = (None, None, None, None);
+    let (mut kind, mut seconds, mut trace) = (None, None, None);
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or(format!("{flag} needs a value"))?;
@@ -277,7 +286,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--workload" => {
                 kind = Some(Kind::parse(value).ok_or(format!("unknown workload `{value}`"))?)
             }
-            "--seed" => seed = Some(number()?),
+            // Checked, but the inputs do not depend on it (`Inputs`).
+            "--seed" => _ = number()?,
             "--seconds" => seconds = Some(number()?),
             "--trace" => match value.as_str() {
                 "0" => trace = Some(false),
@@ -289,7 +299,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     }
     Ok(Args {
         kind: kind.ok_or("--workload is required")?,
-        seed: seed.unwrap_or(suite::DEFAULT_SEED),
         seconds: seconds.unwrap_or(55),
         trace: trace.unwrap_or(false),
     })
@@ -307,7 +316,7 @@ fn main() {
         std::process::exit(2);
     });
     let kind = args.kind;
-    let outcome = run(kind, args.seed, args.seconds, args.trace, started);
+    let outcome = run(kind, args.seconds, args.trace, started);
     for (name, value, unit) in outcome.metrics.iter().chain(&outcome.throughput) {
         println!(
             "{:<36} {value:>16.6} {unit}",
@@ -370,9 +379,9 @@ mod tests {
     }
 
     /// Runs one pass in each mode and checks the result line.
-    fn check_workload(kind: Kind, seed: u64) {
+    fn check_workload(kind: Kind) {
         for trace in [false, true] {
-            let outcome = run(kind, seed, 0, trace, Instant::now());
+            let outcome = run(kind, 0, trace, Instant::now());
             assert!(outcome.correct, "{} trace={trace} failed", kind.name());
             assert_eq!(outcome.failed, 0);
             assert!(outcome.attempted >= 2);
@@ -386,26 +395,18 @@ mod tests {
 
     #[test]
     fn case_study_emits_every_metric() {
-        check_workload(Kind::CaseStudy, suite::DEFAULT_SEED);
+        check_workload(Kind::CaseStudy);
     }
 
     #[test]
     fn solve_replay_emits_every_metric() {
-        check_workload(Kind::SolveReplay, suite::DEFAULT_SEED);
-    }
-
-    #[test]
-    fn another_seed_keeps_the_metric_set() {
-        check_workload(Kind::CaseStudy, 7);
-        let inputs = Inputs::new(Kind::CaseStudy, 7);
-        let digest = workload::pass(&inputs).unwrap().digest;
-        assert_ne!(Some(digest), contract::pinned("case-study"));
+        check_workload(Kind::SolveReplay);
     }
 
     #[test]
     fn traced_split_reproduces_the_untraced_pass() {
         for kind in Kind::ALL {
-            let inputs = Inputs::new(kind, suite::DEFAULT_SEED);
+            let inputs = Inputs::new(kind);
             let untraced = workload::pass(&inputs).unwrap();
             let (traced, _, _) = traced::pass(&inputs).unwrap();
             assert_eq!(traced.digest(), untraced.digest, "{}", kind.name());
@@ -415,7 +416,7 @@ mod tests {
 
     #[test]
     fn traced_recording_reproduces_the_trace() {
-        let inputs = Inputs::new(Kind::SolveReplay, 3);
+        let inputs = Inputs::new(Kind::SolveReplay);
         let mut layers = traced::Layers::new();
         assert_eq!(
             Some(traced::record(&inputs, &mut layers)),
@@ -432,8 +433,8 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            (ok.kind, ok.seed, ok.seconds, ok.trace),
-            (Kind::SolveReplay, 3, 5, true)
+            (ok.kind, ok.seconds, ok.trace),
+            (Kind::SolveReplay, 5, true)
         );
         assert!(parse_args(&args("--workload nope")).is_err());
         assert!(parse_args(&args("--workload case-study --trace 2")).is_err());
