@@ -1,19 +1,19 @@
 //! Batched vs. per-observation feasibility on the Table 3 campaign.
 //!
 //! This is the benchmark behind the CI perf-regression gate
-//! (`ci/bench_gate.sh`): the `per_observation_*` entries re-run the historical
-//! one-LP-per-observation path, the `batched_*` entries run the warm-started
-//! [`BatchFeasibility`] engine on the same data, and the `_exact` variants use
-//! point observations (shared coordinate axes), where the (cone, axes)
-//! coefficient cache and bounds-only warm restarts pay off most.
+//! (`ci/bench_gate.sh`): the `checker_*` and `per_observation_*_exact`
+//! entries run one cold LP per observation through [`FeasibilityChecker`],
+//! the `batched_*` entries run the warm-started [`BatchFeasibility`] engine on
+//! the same data, and the `_exact` variants use point observations (shared
+//! coordinate axes), where the (cone, axes) coefficient cache and bounds-only
+//! warm restarts pay off most.
 
-use counterpoint::lp::{LinearProgram, Relation};
 use counterpoint::{check_models, BatchFeasibility, FeasibilityChecker, ModelCone, Observation};
 use counterpoint_bench::{experiment_observations, table3_model};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// The per-observation reference: one cold LP per observation through the
-/// current checker (which itself shares the revised dual-simplex core).
+/// checker (the same dual-simplex core the batched engine warm-starts).
 fn count_infeasible_per_observation(
     checker: &FeasibilityChecker<'_>,
     observations: &[Observation],
@@ -21,38 +21,6 @@ fn count_infeasible_per_observation(
     observations
         .iter()
         .filter(|o| !checker.is_feasible(o))
-        .count()
-}
-
-/// The historical per-observation baseline: the exact formulation
-/// `FeasibilityChecker::is_feasible` shipped before the batched engine — a
-/// dense `axis · generator` matmul per observation feeding a cold two-phase
-/// primal simplex through `LinearProgram`.
-fn count_infeasible_historical(cone: &ModelCone, observations: &[Observation]) -> usize {
-    let generators: Vec<Vec<f64>> = cone
-        .generator_cone()
-        .generators()
-        .iter()
-        .map(|g| g.to_f64_vec())
-        .collect();
-    let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
-    observations
-        .iter()
-        .filter(|o| {
-            let region = o.region();
-            let scale = region
-                .center()
-                .iter()
-                .fold(1.0f64, |acc, v| acc.max(v.abs()));
-            let mut lp = LinearProgram::new(generators.len());
-            for (axis, width) in region.axes().iter().zip(region.half_widths()) {
-                let coeffs: Vec<f64> = generators.iter().map(|g| dot(axis, g)).collect();
-                let centre_proj = dot(axis, region.center());
-                lp.add_constraint(&coeffs, Relation::Ge, (centre_proj - width) / scale);
-                lp.add_constraint(&coeffs, Relation::Le, (centre_proj + width) / scale);
-            }
-            !lp.is_feasible()
-        })
         .count()
 }
 
@@ -80,9 +48,6 @@ fn bench_batch_feasibility(c: &mut Criterion) {
             "batched and per-observation verdicts diverged on {name}"
         );
 
-        group.bench_function(format!("per_observation_{name}"), |b| {
-            b.iter(|| count_infeasible_historical(&cone, &observations))
-        });
         group.bench_function(format!("checker_{name}"), |b| {
             b.iter(|| count_infeasible_per_observation(&checker, &observations))
         });
@@ -99,29 +64,20 @@ fn bench_batch_feasibility(c: &mut Criterion) {
 
     // The full Table 3 campaign: the whole m0–m11 model family against the
     // observation set, exactly what the experiments binary's `table3` run
-    // evaluates.  The baseline is the historical sequential per-observation
-    // sweep; the batched run uses the campaign fan-out (`check_models`) at one
-    // worker so the number is comparable across hosts with any core count
-    // (extra workers only help further).
+    // evaluates.  The batched run uses the campaign fan-out (`check_models`)
+    // at one worker so the number is comparable across hosts with any core
+    // count (extra workers only help further).
     let family: Vec<ModelCone> = (0..12).map(|i| table3_model(&format!("m{i}"))).collect();
     let family_refs: Vec<&ModelCone> = family.iter().collect();
-    group.bench_function("table3_family_per_observation", |b| {
-        b.iter(|| {
-            family
-                .iter()
-                .map(|cone| count_infeasible_historical(cone, &observations))
-                .collect::<Vec<_>>()
-        })
-    });
     group.bench_function("table3_family_batched", |b| {
         b.iter(|| check_models(&family_refs, &observations, 1))
     });
     // The family sweep on point observations — the workload shape of the
     // exact-observation lattice search, decided one observation at a time
     // with no cross-observation state: a fresh engine per observation, so
-    // every verdict is one cold two-tier solve (tier-1 factorized f64 first,
-    // exact recertification only on thin margins).  This is the entry the
-    // bench gate watches for the fast-path solver core.
+    // every verdict is one cold solve (plus a second cold solve only on thin
+    // margins).  This is the entry the bench gate watches for the solver
+    // core.
     group.bench_function("table3_family_per_observation_exact", |b| {
         b.iter(|| {
             family

@@ -8,7 +8,7 @@ use counterpoint_haswell::full_counter_space;
 use counterpoint_haswell::mem::PageSize;
 use counterpoint_haswell::mmu::{HaswellMmu, MmuConfig};
 use counterpoint_haswell::pmu::{MultiplexingPmu, PmuConfig};
-use counterpoint_lp::{LinearProgram, Relation};
+use counterpoint_lp::FactorTableau;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_mudd_enumeration(c: &mut Criterion) {
@@ -70,16 +70,19 @@ fn bench_pmu_sampling(c: &mut Criterion) {
 
 fn bench_lp_solver(c: &mut Criterion) {
     // A feasibility problem of the same shape as the Appendix A LP: ~200 flow
-    // variables and 52 box constraints.
+    // variables and 26 bands (52 box constraints), solved cold from the
+    // all-slack basis on every iteration.
     let vars = 200usize;
-    let mut lp = LinearProgram::new(vars);
-    for k in 0..26 {
-        let coeffs: Vec<f64> = (0..vars).map(|p| ((p + k) % 4) as f64).collect();
-        lp.add_constraint(&coeffs, Relation::Ge, 50.0);
-        lp.add_constraint(&coeffs, Relation::Le, 5_000.0);
-    }
-    c.bench_function("lp_feasibility_200vars_52constraints", |b| {
-        b.iter(|| lp.is_feasible());
+    let bands: Vec<Vec<f64>> = (0..26)
+        .map(|k| (0..vars).map(|p| ((p + k) % 4) as f64).collect())
+        .collect();
+    let lo = vec![50.0; bands.len()];
+    let hi = vec![5_000.0; bands.len()];
+    c.bench_function("lp_band_feasibility_200vars_26bands", |b| {
+        b.iter(|| {
+            let mut lp = FactorTableau::band(vars, &bands);
+            lp.resolve(&lo, &hi).expect("converges").feasible
+        });
     });
 }
 

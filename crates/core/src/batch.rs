@@ -6,34 +6,43 @@
 //! region intersect the cone?  [`FeasibilityChecker::is_feasible`] answers one
 //! instance from scratch — it recomputes the `axis · generator` coefficient
 //! matrix (a function of the cone and the counter-space axes only) and runs a
-//! cold two-phase simplex.  [`BatchFeasibility`] amortises both across a
-//! campaign:
+//! cold dual simplex.  [`BatchFeasibility`] amortises both across a campaign:
 //!
 //! * the coefficient matrix is computed **once per (cone, axes) pair** and
 //!   reused for every observation sharing those axes (all exact observations
 //!   share the coordinate axes; repeated measurements of one workload share
 //!   their region's principal axes), and
-//! * the LP is kept alive as a warm [`Tableau`]: when only the bounds move the
-//!   dual simplex restarts from the previous observation's basis
-//!   ([`Tableau::resolve`]; [`Tableau::resolve_with_basis`] also lets a caller
-//!   seed a fresh tableau with a recorded basis), and a handful of pivots
-//!   replace a full two-phase solve, and
+//! * the LP is kept alive as a warm [`FactorTableau`]: when only the bounds
+//!   move the dual simplex restarts from the previous observation's basis
+//!   ([`FactorTableau::resolve`]; [`FactorTableau::resolve_with_basis`] also
+//!   lets a caller seed it with a recorded basis), and a handful of pivots
+//!   replace a full cold solve, and
 //! * verdicts of past solves are recycled: Farkas separating directions and
 //!   scaled cone-point witness rays settle many observations in `O(d²)`
 //!   without touching the LP at all.
 //!
-//! Verdicts are identical to the per-observation checker (the two paths share
-//! the row-construction arithmetic bit for bit, and the warm path falls back to
-//! the cold solver if the dual simplex fails to converge); only the work to
-//! reach them changes.  [`check_models`] fans a model family × observation
-//! matrix across `std::thread` workers with the same deterministic pattern the
+//! One solver answers every question.  A warm verdict is trusted when the
+//! tableau reports it *confident* (its terminal margin is comfortably wide);
+//! otherwise the same tableau is reset to the all-slack basis and re-solved
+//! cold — the arithmetic [`FeasibilityChecker::is_feasible`] runs, bit for
+//! bit — and that answer is accepted (the `lp_tier2_escalations` counter).  A
+//! warm solve that cycles out of its iteration budget gets the same cold
+//! re-solve (`cold_solver_fallbacks`); if that fails too the verdict is
+//! [`FeasibilityVerdict::Inconclusive`].  Evidence — the witness point or the
+//! Farkas certificate — is read off whichever solve decided, so the verdict
+//! and the bool paths run the same decision procedure.
+//!
+//! [`check_models`] fans a model family × observation matrix across
+//! `std::thread` workers with the same deterministic pattern the
 //! `counterpoint-collect` campaign runner uses: results land in model order no
 //! matter how many workers run or which finishes first.
 
 use crate::cone::ModelCone;
-use crate::feasibility::{observation_scale, row_bounds, ConeMatrix, FeasibilityChecker};
+use crate::feasibility::{
+    non_finite_reason, observation_scale, row_bounds, ConeMatrix, FeasibilityChecker,
+};
 use crate::observation::Observation;
-use counterpoint_lp::{FactorTableau, LinearProgram, Relation, Tableau};
+use counterpoint_lp::FactorTableau;
 use counterpoint_numeric::Rational;
 use counterpoint_stats::ConfidenceRegion;
 use counterpoint_telemetry as telemetry;
@@ -68,8 +77,9 @@ pub enum FeasibilityVerdict {
         /// still sound).
         certificate: Vec<f64>,
     },
-    /// No verdict could be reached: the dual simplex, the cold restart and the
-    /// two-phase fallback all failed to converge.  The bool-returning
+    /// No verdict could be reached: the observation has a non-finite centre,
+    /// half-width or axis entry, or both the warm solve and the cold re-solve
+    /// failed to converge.  The bool-returning
     /// [`BatchFeasibility::is_feasible`] resolves this as not-refuted (no
     /// certificate exists); the verdict path reports it explicitly so a
     /// session can record the gap and move on.  Each occurrence increments
@@ -125,13 +135,7 @@ const MAX_WITNESS_RAYS: usize = 8;
 pub(crate) const CERTIFICATE_MARGIN: f64 = 1e-6;
 
 /// The observation-independent state cached for the most recent confidence
-///-region axes: the equilibrated coefficient matrix and the warm solvers.
-///
-/// `tableau` is the exact tier-2 engine — the historical dense-`B⁻¹` dual
-/// simplex every piece of returned evidence flows through, byte-identical to
-/// the pre-two-tier engine.  `fast` is the tier-1 factorized solver the
-/// no-evidence decision path runs on; it is built lazily on the first
-/// decision solve so pure evidence engines never pay for it.
+///-region axes: the equilibrated coefficient matrix and the warm solver.
 #[derive(Clone, Debug)]
 struct AxesCache {
     axes: Vec<Vec<f64>>,
@@ -140,8 +144,7 @@ struct AxesCache {
     /// all share the standard axes.
     standard: bool,
     matrix: ConeMatrix,
-    tableau: Tableau,
-    fast: Option<FactorTableau>,
+    tableau: FactorTableau,
 }
 
 /// Warm-started feasibility testing of many observations against one model
@@ -151,9 +154,8 @@ struct AxesCache {
 /// [`is_feasible`](BatchFeasibility::is_feasible) takes `&mut self` so the
 /// engine can keep the factorised LP state alive between calls.  Use it
 /// whenever more than a handful of observations are tested against the same
-/// cone — [`FeasibilityChecker::count_infeasible`] and
-/// [`evaluate_models`](crate::explore::evaluate_models) already route through
-/// it.
+/// cone — [`FeasibilityChecker::count_infeasible`] and [`check_models`]
+/// already route through it.
 ///
 /// # Example
 ///
@@ -265,17 +267,9 @@ impl<'a> BatchFeasibility<'a> {
     /// structural flows first (one per generator, in
     /// generator order), then the band slacks.
     pub fn basis_handoff(&self) -> Option<(Vec<Vec<f64>>, Vec<usize>)> {
-        self.cache.as_ref().map(|cache| {
-            // Decision engines solve on the tier-1 factorization; its basis
-            // uses the same column numbering, so the handoff survives the
-            // representation change.  Evidence engines never build `fast` and
-            // keep handing off the exact tableau's basis.
-            let basis = match cache.fast.as_ref() {
-                Some(fast) => fast.basis().to_vec(),
-                None => cache.tableau.basis().to_vec(),
-            };
-            (cache.axes.clone(), basis)
-        })
+        self.cache
+            .as_ref()
+            .map(|cache| (cache.axes.clone(), cache.tableau.basis().to_vec()))
     }
 
     /// Seeds the first tableau built for exactly `axes` with `basis` — e.g. a
@@ -312,10 +306,11 @@ impl<'a> BatchFeasibility<'a> {
     ///
     /// Panics if the observation's dimension differs from the cone's.
     ///
-    /// LP non-convergence on every solve path (pathological cycling) does
-    /// *not* panic: a refutation needs a Farkas certificate and none exists,
-    /// so the observation deterministically counts as not refuted (`true`),
-    /// mirrored by [`FeasibilityChecker::is_feasible`].  Callers that need to
+    /// When no verdict can be reached — a non-finite observation, or LP
+    /// non-convergence on both the warm and the cold solve — this does *not*
+    /// panic: a refutation needs a Farkas certificate and none exists, so the
+    /// observation deterministically counts as not refuted (`true`), mirrored
+    /// by [`FeasibilityChecker::is_feasible`].  Callers that need to
     /// distinguish this case use [`verdict`](BatchFeasibility::verdict) or
     /// [`decide_lenient`](BatchFeasibility::decide_lenient), which surface it
     /// as [`FeasibilityVerdict::Inconclusive`].
@@ -329,11 +324,10 @@ impl<'a> BatchFeasibility<'a> {
 
     /// The cheapest verdict-level decision: the same no-evidence work as
     /// [`is_feasible`](BatchFeasibility::is_feasible) (no witness or
-    /// certificate reconstruction, no allocation on the hot path), but LP
-    /// non-convergence surfaces as [`FeasibilityVerdict::Inconclusive`]
-    /// instead of being folded into the bool.  The lattice-search sweeps run
-    /// on this and drain the engine's internally harvested certificates once
-    /// per model.
+    /// certificate returned), but an undecidable observation surfaces as
+    /// [`FeasibilityVerdict::Inconclusive`] instead of being folded into the
+    /// bool.  The lattice-search sweeps run on this and drain the engine's
+    /// internally harvested certificates once per model.
     pub fn decide_lenient(&mut self, observation: &Observation) -> FeasibilityVerdict {
         self.decide(observation, false)
     }
@@ -352,10 +346,10 @@ impl<'a> BatchFeasibility<'a> {
     }
 
     /// The shared decision procedure behind [`is_feasible`] and [`verdict`]:
-    /// with `want_evidence = false` the returned verdict carries empty
-    /// evidence vectors (no allocation) and the hot path does exactly the
-    /// historical work; with `true` it additionally reconstructs the witness
-    /// point or folds the Farkas multipliers into a counter-space certificate.
+    /// both run the same solves and reach the same decision; with
+    /// `want_evidence = false` the returned verdict carries empty evidence
+    /// vectors, with `true` it carries the witness point or the folded Farkas
+    /// certificate.
     ///
     /// [`is_feasible`]: BatchFeasibility::is_feasible
     /// [`verdict`]: BatchFeasibility::verdict
@@ -368,6 +362,13 @@ impl<'a> BatchFeasibility<'a> {
         );
         let dim = cone.dimension();
         let region = observation.region();
+
+        // A NaN or infinite region has no extent to test; every comparison
+        // below would silently read it as feasible.
+        if let Some(reason) = non_finite_reason(region) {
+            telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
+            return FeasibilityVerdict::Inconclusive { reason };
+        }
 
         // Degenerate cone: only the origin is producible.
         if self.checker.generators().is_empty() {
@@ -458,22 +459,18 @@ impl<'a> BatchFeasibility<'a> {
                 Some(cache) if cache.tableau.num_bands() == region.axes().len() => {
                     cache.matrix.build_sparse_into(region.axes(), self.sparse);
                     cache.tableau.rebind(&cache.matrix.rows);
-                    if let Some(fast) = cache.fast.as_mut() {
-                        fast.rebind(&cache.matrix.rows);
-                    }
                     clone_axes_into(&mut cache.axes, region.axes());
                     cache.standard = region.standard_axes();
                 }
                 _ => {
                     let mut matrix = ConeMatrix::empty();
                     matrix.build_sparse_into(region.axes(), self.sparse);
-                    let tableau = Tableau::band(num_flows, &matrix.rows);
+                    let tableau = FactorTableau::band(num_flows, &matrix.rows);
                     self.cache = Some(AxesCache {
                         axes: region.axes().to_vec(),
                         standard: region.standard_axes(),
                         matrix,
                         tableau,
-                        fast: None,
                     });
                 }
             }
@@ -506,173 +503,60 @@ impl<'a> BatchFeasibility<'a> {
         // above reset to the all-slack basis and this is a cold start — unless
         // a parent engine handed its final basis down for these axes, in which
         // case that basis is replayed first.
-
-        if !want_evidence {
-            // Tier 1: the factorized f64 solver decides, and only verdicts
-            // whose terminal margin is comfortably wide are trusted.  Thin
-            // margins escalate to a cold tier-2 solve whose arithmetic is
-            // bit-identical to `FeasibilityChecker::is_feasible`, so the
-            // agreement contract holds exactly where fast arithmetic is
-            // shakiest.  Evidence solves never come through here — the warm
-            // tier-2 tableau below stays the engine of record for Report
-            // bytes.
-            if cache.fast.is_none() {
-                cache.fast = Some(FactorTableau::band(num_flows, &cache.matrix.rows));
-            }
-            let fast = cache.fast.as_mut().expect("tier-1 solver just built");
-            let outcome = match self.pending_basis.take() {
-                Some(basis) => fast.resolve_with_basis(&self.lo, &self.hi, &basis),
-                None => fast.resolve(&self.lo, &self.hi),
-            };
-            let verdict = match outcome {
-                Ok(out) if out.confident => {
-                    if out.feasible {
-                        self.harvest_feasible_fast();
-                        FeasibilityVerdict::Feasible {
-                            witness: Vec::new(),
-                        }
-                    } else {
-                        self.harvest_refuted_fast(region);
-                        FeasibilityVerdict::Refuted {
-                            certificate: Vec::new(),
-                        }
-                    }
-                }
-                Ok(_) => {
-                    telemetry::add(telemetry::Metric::LpTier2Escalations, 1);
-                    self.escalate_exact(observation, region)
-                }
-                Err(_) => self.cold_fallback(observation, region, scale, false),
-            };
-            return verdict;
-        }
-
-        let outcome = match self.pending_basis.take() {
+        let warm = match self.pending_basis.take() {
             Some(basis) => cache.tableau.resolve_with_basis(&self.lo, &self.hi, &basis),
             None => cache.tableau.resolve(&self.lo, &self.hi),
         };
-
-        match outcome {
-            Ok(true) => {
-                let witness = self.conclude_feasible(scale, want_evidence);
-                FeasibilityVerdict::Feasible { witness }
-            }
-            Ok(false) => {
-                let certificate = self.conclude_refuted(region, want_evidence);
-                FeasibilityVerdict::Refuted { certificate }
-            }
-            Err(_) => self.cold_fallback(observation, region, scale, want_evidence),
-        }
-    }
-
-    /// The historical non-convergence escape hatch, shared by both tiers: the
-    /// warm path cycled out of its iteration budget, so drop the poisoned
-    /// state and answer exactly like the per-observation checker does — a
-    /// cold dual-simplex solve, with the two-phase primal as the last resort
-    /// — so the agreement contract holds even on this path.
-    fn cold_fallback(
-        &mut self,
-        observation: &Observation,
-        region: &ConfidenceRegion,
-        scale: f64,
-        want_evidence: bool,
-    ) -> FeasibilityVerdict {
-        let dim = self.checker.cone().dimension();
-        let num_flows = self.checker.generators().len();
-        telemetry::add(telemetry::Metric::ColdSolverFallbacks, 1);
-        let _span = telemetry::span("lp_cold_solve", observation.name());
-        self.cache = None;
-        let matrix = ConeMatrix::build(region.axes(), self.checker.generators());
-        let mut lo = Vec::with_capacity(matrix.rows.len());
-        let mut hi = Vec::with_capacity(matrix.rows.len());
-        for k in 0..matrix.rows.len() {
-            let (l, h) = row_bounds(region, &matrix, k, scale);
-            lo.push(l);
-            hi.push(h);
-        }
-        let mut cold = Tableau::band(num_flows, &matrix.rows);
-        match cold.resolve(&lo, &hi) {
-            Ok(true) => {
-                let witness = if want_evidence {
-                    scaled_flow_combination(self.sparse, cold.basic_flows(), scale, dim)
+        let feasible = match warm {
+            Ok(outcome) if outcome.confident => outcome.feasible,
+            // A thin terminal margin, or a warm solve that cycled out of its
+            // iteration budget: reset the tableau to the all-slack basis and
+            // re-solve cold — the arithmetic `FeasibilityChecker::is_feasible`
+            // runs, bit for bit — and accept that answer.
+            warm => {
+                let _span = if warm.is_ok() {
+                    telemetry::add(telemetry::Metric::LpTier2Escalations, 1);
+                    None
                 } else {
-                    Vec::new()
+                    telemetry::add(telemetry::Metric::ColdSolverFallbacks, 1);
+                    Some(telemetry::span("lp_cold_solve", observation.name()))
                 };
-                FeasibilityVerdict::Feasible { witness }
-            }
-            Ok(false) => {
-                let certificate = if want_evidence {
-                    fold_certificate(region, &matrix, &cold, dim)
-                        .filter(|c| certificate_is_sound(self.sparse, c))
-                        .unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
-                FeasibilityVerdict::Refuted { certificate }
-            }
-            Err(_) => {
-                let mut lp = LinearProgram::new(num_flows);
-                for (k, row) in matrix.rows.iter().enumerate() {
-                    lp.add_constraint(row, Relation::Ge, lo[k]);
-                    lp.add_constraint(row, Relation::Le, hi[k]);
-                }
-                if !want_evidence {
-                    // The historical last resort (the decision is the
-                    // two-phase primal's); non-convergence is reported
-                    // as an inconclusive verdict, never a panic.
-                    return match lp.try_solve() {
-                        Ok(outcome) => {
-                            if outcome.is_feasible() {
-                                FeasibilityVerdict::Feasible {
-                                    witness: Vec::new(),
-                                }
-                            } else {
-                                FeasibilityVerdict::Refuted {
-                                    certificate: Vec::new(),
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
-                            FeasibilityVerdict::Inconclusive {
-                                reason: format!("every LP solve path failed to converge: {e}"),
-                            }
-                        }
-                    };
-                }
-                match lp.try_solve() {
-                    Ok(outcome) => match outcome.solution() {
-                        Some(flows) => {
-                            let witness = scaled_flow_combination(
-                                self.sparse,
-                                flows.iter().copied().enumerate(),
-                                scale,
-                                dim,
-                            );
-                            FeasibilityVerdict::Feasible { witness }
-                        }
-                        // Two-phase infeasibility yields no usable
-                        // multipliers through this interface.
-                        None => FeasibilityVerdict::Refuted {
-                            certificate: Vec::new(),
-                        },
-                    },
+                cache.tableau.rebind(&cache.matrix.rows);
+                match cache.tableau.resolve(&self.lo, &self.hi) {
+                    Ok(outcome) => outcome.feasible,
                     Err(e) => {
+                        // Drop the poisoned state; the next observation
+                        // rebuilds it from scratch.
+                        self.cache = None;
                         telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
-                        FeasibilityVerdict::Inconclusive {
-                            reason: format!("every LP solve path failed to converge: {e}"),
-                        }
+                        return FeasibilityVerdict::Inconclusive {
+                            reason: format!("the warm and the cold LP solve both failed: {e}"),
+                        };
                     }
                 }
             }
+        };
+        if feasible {
+            let witness = self.conclude_feasible(scale, want_evidence);
+            FeasibilityVerdict::Feasible { witness }
+        } else {
+            let certificate = self.conclude_refuted(region, want_evidence);
+            FeasibilityVerdict::Refuted { certificate }
         }
     }
-    /// Wraps up a feasible warm solve: reconstructs the counter-space cone
-    /// point of the solution the tableau just found (`y* = Σ f_j · g_j` over
-    /// the basic flows) and caches its unit-norm ray for future feasible
-    /// short-circuits.  The flow values are only positively scaled relative to
-    /// the raw problem, so the cached ray's direction — all that matters — is
-    /// unchanged; the returned witness carries the real magnitudes.
+
+    /// Wraps up a feasible solve: reconstructs the counter-space cone point
+    /// of the solution the tableau just found (`y* = Σ f_j · g_j` over the
+    /// basic flows) and caches its unit-norm ray for future feasible
+    /// short-circuits.  The flow values are only positively scaled relative
+    /// to the raw problem, so the cached ray's direction — all that matters —
+    /// is unchanged; the returned witness carries the real magnitudes.
+    ///
+    /// When the smallest included flow sits near the `1e-9` inclusion
+    /// threshold, the combination is recomputed in exact rational arithmetic
+    /// before the ray is cached — the margin-triggered recertification of the
+    /// witness machinery.  On overflow or disagreement the ray is simply not
+    /// cached; the verdict and the returned witness are unaffected.
     fn conclude_feasible(&mut self, scale: f64, want_evidence: bool) -> Vec<f64> {
         let cache_open = self.witness_rays.len() < MAX_WITNESS_RAYS;
         if !want_evidence && !cache_open {
@@ -683,23 +567,29 @@ impl<'a> BatchFeasibility<'a> {
         };
         let dim = self.checker.cone().dimension();
         // Accumulate the *unscaled* flow combination first: the cached ray is
-        // normalised from it (bit-identical to the historical harvest), and
-        // the returned witness re-applies the observation scale afterwards.
+        // normalised from it, and the returned witness re-applies the
+        // observation scale afterwards.
         let raw = flow_combination(self.sparse, cache.tableau.basic_flows(), dim);
         let norm = raw.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
         if cache_open && norm.is_finite() && norm > 0.0 {
-            self.witness_rays
-                .push(raw.iter().map(|v| v / norm).collect());
             // The ray's support: the generators its flow combination used
             // (the same `f > 1e-9` filter `flow_combination` applies).
-            self.witness_supports.push(
-                cache
-                    .tableau
-                    .basic_flows()
-                    .filter(|&(_, f)| f > 1e-9)
-                    .map(|(j, _)| j)
-                    .collect(),
-            );
+            let flows: Vec<(usize, f64)> = cache
+                .tableau
+                .basic_flows()
+                .filter(|&(_, f)| f > 1e-9)
+                .collect();
+            let min_flow = flows.iter().fold(f64::INFINITY, |acc, &(_, f)| acc.min(f));
+            let trusted = min_flow >= FLOW_RECERT_MARGIN || {
+                telemetry::add(telemetry::Metric::LpExactRecertifications, 1);
+                combination_recertifies(self.sparse, &flows, &raw)
+            };
+            if trusted {
+                self.witness_rays
+                    .push(raw.iter().map(|v| v / norm).collect());
+                self.witness_supports
+                    .push(flows.iter().map(|&(j, _)| j).collect());
+            }
         }
         if want_evidence {
             raw.iter().map(|v| v * scale).collect()
@@ -708,9 +598,9 @@ impl<'a> BatchFeasibility<'a> {
         }
     }
 
-    /// Wraps up an infeasible warm solve: folds the tableau's Farkas
-    /// multipliers into a counter-space separating direction, caches it for
-    /// future short-circuits and (on the verdict path) returns it.
+    /// Wraps up an infeasible solve: folds the tableau's Farkas multipliers
+    /// into a counter-space separating direction, caches it for future
+    /// short-circuits and (on the verdict path) returns it.
     ///
     /// The stuck dual row gives `π ≥ 0` with `π · [A|S] ≥ 0` and `π · b < 0`.
     /// Folding the per-band multiplier difference back through the axes yields
@@ -718,7 +608,10 @@ impl<'a> BatchFeasibility<'a> {
     /// for every generator `g` — a property of the cone alone, so the
     /// certificate stays valid for every future observation.  The direction is
     /// re-verified against the generators before caching or returning (the
-    /// multipliers are only non-negative up to the solver tolerance).
+    /// multipliers are only non-negative up to the solver tolerance), with any
+    /// generator whose margin is near the threshold re-judged in exact
+    /// rational arithmetic; a direction that fails is dropped, the verdict
+    /// stands.
     fn conclude_refuted(&mut self, region: &ConfidenceRegion, want_evidence: bool) -> Vec<f64> {
         let cache_open = self.certificates.len() < MAX_CERTIFICATES;
         if !want_evidence && !cache_open {
@@ -728,152 +621,23 @@ impl<'a> BatchFeasibility<'a> {
             return Vec::new();
         };
         let dim = self.checker.cone().dimension();
-        let Some(direction) = fold_certificate(region, &cache.matrix, &cache.tableau, dim) else {
+        let Some(direction) = cache
+            .tableau
+            .farkas_multipliers()
+            .and_then(|pi| fold_certificate(region, &cache.matrix, pi, dim))
+            .filter(|c| certificate_is_sound_recertified(self.sparse, c))
+        else {
             return Vec::new();
         };
-        if !certificate_is_sound(self.sparse, &direction) {
+        if !want_evidence {
+            // Only reachable with the pool open (see the early return).
+            self.certificates.push(direction);
             return Vec::new();
         }
         if cache_open {
             self.certificates.push(direction.clone());
         }
-        if want_evidence {
-            direction
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Escalates a near-degenerate tier-1 verdict: re-answers the observation
-    /// with a cold tier-2 solve on the cached coefficient matrix and bounds —
-    /// the exact arithmetic `FeasibilityChecker::is_feasible` runs, bit for
-    /// bit — and harvests the exact solve's evidence into the short-circuit
-    /// pools so the escalation still pays forward.
-    fn escalate_exact(
-        &mut self,
-        observation: &Observation,
-        region: &ConfidenceRegion,
-    ) -> FeasibilityVerdict {
-        let dim = self.checker.cone().dimension();
-        let num_flows = self.checker.generators().len();
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("escalation follows a tier-1 solve");
-        let mut cold = Tableau::band(num_flows, &cache.matrix.rows);
-        match cold.resolve(&self.lo, &self.hi) {
-            Ok(true) => {
-                let cache_open = self.witness_rays.len() < MAX_WITNESS_RAYS;
-                if cache_open {
-                    let raw = flow_combination(self.sparse, cold.basic_flows(), dim);
-                    let norm = raw.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-                    if norm.is_finite() && norm > 0.0 {
-                        self.witness_rays
-                            .push(raw.iter().map(|v| v / norm).collect());
-                        self.witness_supports.push(
-                            cold.basic_flows()
-                                .filter(|&(_, f)| f > 1e-9)
-                                .map(|(j, _)| j)
-                                .collect(),
-                        );
-                    }
-                }
-                FeasibilityVerdict::Feasible {
-                    witness: Vec::new(),
-                }
-            }
-            Ok(false) => {
-                let cache = self.cache.as_ref().expect("cache is still warm");
-                if self.certificates.len() < MAX_CERTIFICATES {
-                    if let Some(direction) = fold_certificate(region, &cache.matrix, &cold, dim) {
-                        if certificate_is_sound(self.sparse, &direction) {
-                            self.certificates.push(direction);
-                        }
-                    }
-                }
-                FeasibilityVerdict::Refuted {
-                    certificate: Vec::new(),
-                }
-            }
-            Err(_) => {
-                // Even the cold dual simplex cycled: fall through to the
-                // historical fallback chain (which re-runs it once more after
-                // dropping the warm state, then tries the two-phase primal).
-                let scale = observation_scale(region);
-                self.cold_fallback(observation, region, scale, false)
-            }
-        }
-    }
-
-    /// Wraps up a confidently feasible tier-1 solve: harvests the factorized
-    /// tableau's flow combination into the witness-ray pool (the same
-    /// `f > 1e-9` support filter as the exact harvest).  When the smallest
-    /// included flow sits near that inclusion threshold, the combination is
-    /// recomputed in exact rational arithmetic before the ray is trusted —
-    /// the margin-triggered recertification of the witness machinery.  On
-    /// overflow or disagreement the ray is simply not cached; the verdict is
-    /// unaffected.
-    fn harvest_feasible_fast(&mut self) {
-        if self.witness_rays.len() >= MAX_WITNESS_RAYS {
-            return;
-        }
-        let Some(fast) = self.cache.as_ref().and_then(|c| c.fast.as_ref()) else {
-            return;
-        };
-        let dim = self.checker.cone().dimension();
-        let raw = flow_combination(self.sparse, fast.basic_flows(), dim);
-        let norm = raw.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-        if !norm.is_finite() || norm <= 0.0 {
-            return;
-        }
-        let min_flow = fast
-            .basic_flows()
-            .filter(|&(_, f)| f > 1e-9)
-            .fold(f64::INFINITY, |acc, (_, f)| acc.min(f));
-        if min_flow < FLOW_RECERT_MARGIN {
-            telemetry::add(telemetry::Metric::LpExactRecertifications, 1);
-            let flows: Vec<(usize, f64)> = fast.basic_flows().filter(|&(_, f)| f > 1e-9).collect();
-            if !combination_recertifies(self.sparse, &flows, &raw) {
-                return;
-            }
-        }
-        let support: Vec<usize> = fast
-            .basic_flows()
-            .filter(|&(_, f)| f > 1e-9)
-            .map(|(j, _)| j)
-            .collect();
-        self.witness_rays
-            .push(raw.iter().map(|v| v / norm).collect());
-        self.witness_supports.push(support);
-    }
-
-    /// Wraps up a confidently infeasible tier-1 solve: folds the factorized
-    /// tableau's Farkas multipliers into a counter-space separating direction
-    /// and caches it for future short-circuits.  The soundness re-check runs
-    /// the historical float criterion, escalating any generator whose margin
-    /// is near the threshold to exact rational arithmetic (the
-    /// margin-triggered recertification of the certificate machinery); exact
-    /// overflow degrades to not caching the direction.
-    fn harvest_refuted_fast(&mut self, region: &ConfidenceRegion) {
-        if self.certificates.len() >= MAX_CERTIFICATES {
-            return;
-        }
-        let Some(cache) = self.cache.as_ref() else {
-            return;
-        };
-        let Some(fast) = cache.fast.as_ref() else {
-            return;
-        };
-        let dim = self.checker.cone().dimension();
-        let Some(pi) = fast.farkas_multipliers() else {
-            return;
-        };
-        let Some(direction) = fold_certificate_from(region, &cache.matrix, pi, dim) else {
-            return;
-        };
-        if certificate_is_sound_recertified(self.sparse, &direction) {
-            self.certificates.push(direction);
-        }
+        direction
     }
 
     /// The Farkas separating directions harvested from past refutations, most
@@ -915,17 +679,12 @@ impl<'a> BatchFeasibility<'a> {
     pub(crate) fn current_ray_with_support(&self) -> Option<(Vec<f64>, Vec<usize>)> {
         let cache = self.cache.as_ref()?;
         let dim = self.checker.cone().dimension();
-        // Read whichever solver actually ran last: the tier-1 factorization
-        // on decision engines, the exact tableau everywhere else.  One pass
-        // over the basic flows accumulates the combination and collects the
-        // support together (the `f > 1e-9` inclusion criterion is shared).
+        // One pass over the basic flows accumulates the combination and
+        // collects the support together (the `f > 1e-9` inclusion criterion
+        // is shared with `flow_combination`).
         let mut raw = vec![0.0; dim];
         let mut support = Vec::new();
-        let flows: Box<dyn Iterator<Item = (usize, f64)>> = match cache.fast.as_ref() {
-            Some(fast) => Box::new(fast.basic_flows()),
-            None => Box::new(cache.tableau.basic_flows()),
-        };
-        for (j, f) in flows {
+        for (j, f) in cache.tableau.basic_flows() {
             if f > 1e-9 {
                 for &(i, c) in &self.sparse[j] {
                     raw[i] += f * c;
@@ -981,48 +740,23 @@ fn flow_combination(
     point
 }
 
-/// [`flow_combination`] in real counter units: the LP works with rescaled
-/// flows `f' = f / scale`, so the counter-space point is `scale · Σ f'ⱼ·gⱼ`.
-fn scaled_flow_combination(
-    sparse: &[Vec<(usize, f64)>],
-    flows: impl Iterator<Item = (usize, f64)>,
-    scale: f64,
-    dim: usize,
-) -> Vec<f64> {
-    flow_combination(sparse, flows, dim)
-        .into_iter()
-        .map(|v| v * scale)
-        .collect()
-}
-
 /// How close (relative to the generator's coefficient mass) a float soundness
 /// margin may come to its threshold before the comparison is re-run in exact
 /// rational arithmetic — the trigger of the certificate recertification path.
 const CERT_RECERT_MARGIN: f64 = 1e-7;
 
-/// A confidently feasible tier-1 solve whose smallest included flow is below
-/// this recomputes the flow combination exactly before caching the witness
-/// ray: a flow just above the `1e-9` inclusion threshold is where float error
-/// could smuggle a non-positive weight into the support.
+/// A feasible solve whose smallest included flow is below this recomputes the
+/// flow combination exactly before caching the witness ray: a flow just above
+/// the `1e-9` inclusion threshold is where float error could smuggle a
+/// non-positive weight into the support.
 const FLOW_RECERT_MARGIN: f64 = 1e-8;
 
-/// Folds a tableau's Farkas multipliers back through the confidence-region
-/// axes into a unit-∞-norm counter-space direction:
+/// Folds Farkas multipliers (interleaved row order, as
+/// [`FactorTableau::farkas_multipliers`] reports them) back through the
+/// confidence-region axes into a unit-∞-norm counter-space direction:
 /// `c = Σ_k (π_{2k+1} − π_{2k}) / bound_div_k · axis_k`.  `None` if the
-/// tableau's last resolve was feasible or the folded direction degenerates.
+/// folded direction degenerates.
 fn fold_certificate(
-    region: &ConfidenceRegion,
-    matrix: &ConeMatrix,
-    tableau: &Tableau,
-    dim: usize,
-) -> Option<Vec<f64>> {
-    fold_certificate_from(region, matrix, tableau.farkas_multipliers()?, dim)
-}
-
-/// [`fold_certificate`] from bare multipliers in interleaved row order — the
-/// shared folding arithmetic behind both the tier-2 tableau and the tier-1
-/// factorized solver.
-fn fold_certificate_from(
     region: &ConfidenceRegion,
     matrix: &ConeMatrix,
     pi: &[f64],
@@ -1589,6 +1323,55 @@ mod tests {
             proj < 0.0,
             "origin separator must point away from the observation"
         );
+    }
+
+    /// Observations with a NaN or infinite centre, half-width or axis entry.
+    fn non_finite_observations() -> Vec<Observation> {
+        // Samples spanning ±1e308 overflow the variance to an infinite
+        // half-width (or poison the principal axes).
+        let overflowing: Vec<Vec<f64>> = (0..8)
+            .map(|i| vec![if i % 2 == 0 { 1e308 } else { -1e308 }, 1.0])
+            .collect();
+        vec![
+            Observation::exact("nan", &[f64::NAN, 1.0]),
+            Observation::exact("inf", &[f64::INFINITY, 1.0]),
+            Observation::exact("-inf", &[1.0, f64::NEG_INFINITY]),
+            Observation::from_samples("overflow", &overflowing, 0.99),
+        ]
+    }
+
+    #[test]
+    fn non_finite_observations_are_inconclusive() {
+        let cone = fig6a_cone();
+        let checker = FeasibilityChecker::new(&cone);
+        let mut batch = BatchFeasibility::new(&cone);
+        // Seed the certificate and witness pools first: a non-finite region
+        // must not slip through a short-circuit either.
+        assert!(batch
+            .verdict(&Observation::exact("in", &[10.0, 4.0]))
+            .is_feasible());
+        assert!(batch
+            .verdict(&Observation::exact("out", &[4.0, 10.0]))
+            .is_refuted());
+        for obs in non_finite_observations() {
+            let verdict = batch.verdict(&obs);
+            assert!(
+                matches!(verdict, FeasibilityVerdict::Inconclusive { .. }),
+                "{} must be inconclusive, got {verdict:?}",
+                obs.name()
+            );
+            assert!(matches!(
+                batch.decide_lenient(&obs),
+                FeasibilityVerdict::Inconclusive { .. }
+            ));
+            // The bool APIs keep the not-refuted mapping.
+            assert!(batch.is_feasible(&obs), "{}", obs.name());
+            assert!(checker.is_feasible(&obs), "{}", obs.name());
+        }
+        // The engine still decides finite observations afterwards.
+        assert!(batch
+            .verdict(&Observation::exact("out2", &[5.0, 12.0]))
+            .is_refuted());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! constraints* reported to the expert.
 
 use crate::cone::ModelCone;
+use crate::feasibility::cold_solve;
 use counterpoint_geometry::{ConeConstraint, GeneratorCone};
-use counterpoint_lp::{LinearProgram, Relation};
 use counterpoint_mudd::CounterSpace;
 use counterpoint_numeric::RatVector;
 use serde::Serialize;
@@ -223,14 +223,17 @@ pub fn remove_redundant_generators(generators: &[RatVector]) -> Vec<RatVector> {
 }
 
 /// LP feasibility: is `target` a non-negative combination of `generators`?
+///
+/// The equality system `Σⱼ fⱼ·gⱼ = target`, `f ≥ 0`, is a band system whose
+/// every band is pinned (`lo == hi`).  Should the solve fail to converge the
+/// signature is kept: a redundant generator costs the hull computation time,
+/// while dropping a needed one would change the cone.
 fn in_cone_of(target: &RatVector, generators: &[&RatVector]) -> bool {
-    let dim = target.len();
-    let mut lp = LinearProgram::new(generators.len());
-    for d in 0..dim {
-        let coeffs: Vec<f64> = generators.iter().map(|g| g[d].to_f64()).collect();
-        lp.add_constraint(&coeffs, Relation::Eq, target[d].to_f64());
-    }
-    lp.is_feasible()
+    let rows: Vec<Vec<f64>> = (0..target.len())
+        .map(|d| generators.iter().map(|g| g[d].to_f64()).collect())
+        .collect();
+    let pinned: Vec<f64> = (0..target.len()).map(|d| target[d].to_f64()).collect();
+    cold_solve(generators.len(), &rows, &pinned, &pinned).unwrap_or(false)
 }
 
 #[cfg(test)]

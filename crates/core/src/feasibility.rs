@@ -4,7 +4,7 @@
 use crate::cone::ModelCone;
 use crate::constraints::{ConstraintSet, NamedConstraint};
 use crate::observation::Observation;
-use counterpoint_lp::{LinearProgram, Relation, Tableau};
+use counterpoint_lp::{FactorTableau, LpError};
 use counterpoint_telemetry as telemetry;
 use serde::Serialize;
 
@@ -190,6 +190,39 @@ pub(crate) fn row_bounds(
     ((centre_proj - width) / div, (centre_proj + width) / div)
 }
 
+/// Why no verdict can be reached for this region, if some centre, half-width
+/// or axis entry is NaN or infinite.  Such a region has no meaningful extent
+/// to test, and left unchecked the NaN comparisons inside the LP and the
+/// short-circuit tests silently read as "feasible".
+pub(crate) fn non_finite_reason(region: &counterpoint_stats::ConfidenceRegion) -> Option<String> {
+    let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
+    if !finite(region.center()) {
+        Some("the observation's centre has a non-finite entry".to_string())
+    } else if !finite(region.half_widths()) {
+        Some("the observation's confidence region has a non-finite half-width".to_string())
+    } else if !region.axes().iter().all(|axis| finite(axis)) {
+        Some("the observation's confidence region has a non-finite axis entry".to_string())
+    } else {
+        None
+    }
+}
+
+/// Whether the band system `lo ≤ rows · x ≤ hi` has a solution `x ≥ 0`,
+/// decided by one cold dual-simplex solve from the all-slack basis — the
+/// cold path behind [`FeasibilityChecker::is_feasible`] and constraint
+/// deduction's cone-membership test.  (The batched engine's cold re-solves
+/// run the same arithmetic on its cached tableau.)
+pub(crate) fn cold_solve(
+    num_vars: usize,
+    rows: &[Vec<f64>],
+    lo: &[f64],
+    hi: &[f64],
+) -> Result<bool, LpError> {
+    FactorTableau::band(num_vars, rows)
+        .resolve(lo, hi)
+        .map(|outcome| outcome.feasible)
+}
+
 impl<'a> FeasibilityChecker<'a> {
     /// Prepares a checker for the given model cone.
     pub fn new(cone: &'a ModelCone) -> FeasibilityChecker<'a> {
@@ -212,6 +245,12 @@ impl<'a> FeasibilityChecker<'a> {
     /// Returns `true` if the observation's confidence region intersects the model
     /// cone.
     ///
+    /// When no verdict can be reached — a non-finite observation, or an LP
+    /// that cycles out of its iteration budget — the observation counts as
+    /// not refuted (`true`): a refutation needs a certificate and none exists.
+    /// Each such case increments the `lp_inconclusive_verdicts` telemetry
+    /// counter.
+    ///
     /// # Panics
     ///
     /// Panics if the observation's dimension differs from the cone's.
@@ -222,6 +261,10 @@ impl<'a> FeasibilityChecker<'a> {
             "observation and model must share a counter space"
         );
         let region = observation.region();
+        if non_finite_reason(region).is_some() {
+            telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
+            return true;
+        }
 
         // Degenerate cone: only the origin is producible.
         if self.generators.is_empty() {
@@ -239,32 +282,14 @@ impl<'a> FeasibilityChecker<'a> {
             hi.push(h);
         }
 
-        // A cold dual-simplex solve on the band tableau — the same algorithm
-        // the batched engine warm-starts, so the two paths agree by
-        // construction.  (The historical two-phase primal remains as the
-        // fallback; its ratio test tolerates near-zero pivots and can corrupt
-        // the phase-1 optimum on ill-conditioned instances, which the dual's
-        // largest-magnitude pivot selection avoids.)
-        let mut tableau = Tableau::band(num_flows, &matrix.rows);
-        match tableau.resolve(&lo, &hi) {
+        // A cold dual-simplex solve: the algorithm the batched engine
+        // warm-starts, and the re-solve it falls back to, so the two paths
+        // agree by construction.
+        match cold_solve(num_flows, &matrix.rows, &lo, &hi) {
             Ok(feasible) => feasible,
             Err(_) => {
-                let mut lp = LinearProgram::new(num_flows);
-                for (k, row) in matrix.rows.iter().enumerate() {
-                    lp.add_constraint(row, Relation::Ge, lo[k]);
-                    lp.add_constraint(row, Relation::Le, hi[k]);
-                }
-                match lp.try_solve() {
-                    Ok(outcome) => outcome.is_feasible(),
-                    // Every solve path cycled out of its iteration budget.  A
-                    // refutation needs a certificate and none exists, so the
-                    // observation deterministically counts as not refuted —
-                    // one degenerate enumerated cone must not abort a sweep.
-                    Err(_) => {
-                        telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
-                        true
-                    }
-                }
+                telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
+                true
             }
         }
     }

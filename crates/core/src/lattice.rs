@@ -1,7 +1,7 @@
 //! `LatticeSearch`: the parallel, certificate-pruned refinement engine behind
 //! the paper's expert-guided search (Sections 5–6, Figures 8 and 10).
 //!
-//! The legacy `GuidedSearch` walked the feature lattice with one cold
+//! The straightforward search walks the feature lattice with one cold
 //! [`FeasibilityChecker`](crate::FeasibilityChecker) solve per (candidate
 //! model, observation) pair.  This engine keeps the *search semantics*
 //! identical — the [`SearchGraph`] it emits is equal, node for node and edge
@@ -415,21 +415,6 @@ where
     /// byte-identical for every value.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
-    }
-
-    /// The single-threaded entry point behind the deprecated `GuidedSearch`
-    /// shim: no `Sync` bound on the generator, same graph as [`run`].
-    ///
-    /// [`run`]: LatticeSearch::run
-    pub(crate) fn run_sequential(
-        &self,
-        initial: &FeatureSet,
-        observations: &[Observation],
-    ) -> SearchGraph {
-        let mut evaluator = Evaluator::new(&self.generator, observations, self.shared.as_ref());
-        self.drive(initial, &mut |sets, parent| {
-            evaluator.counts_seq(sets, parent)
-        })
     }
 
     /// The shared driver: the exact sequential discovery/elimination
@@ -1229,7 +1214,6 @@ mod tests {
             let expected = reference_search(&toy_cone, &universe, 256, &initial, &observations);
             let search = LatticeSearch::new(toy_cone, &universe);
             assert_eq!(search.run(&initial, &observations), expected);
-            assert_eq!(search.run_sequential(&initial, &observations), expected);
         }
     }
 

@@ -1,11 +1,11 @@
-//! Tier-1 dual-simplex core: a product-form factorization of the band-system
+//! The dual-simplex core: a product-form factorization of the band-system
 //! basis laid out for SIMD-friendly column scans.
 //!
-//! [`Tableau`](crate::Tableau) keeps `B⁻¹` as one dense `m × m` block whose
+//! A textbook revised simplex keeps `B⁻¹` as one dense `m × m` block whose
 //! hot loops (BTRAN pricing, FTRAN, the per-solve `B⁻¹·b` product) read it
 //! with stride-2 access patterns and reduce with strictly serial float sums —
 //! neither of which the compiler may vectorize, because reassociating an f64
-//! reduction changes its rounding.  [`FactorTableau`] answers the same
+//! reduction changes its rounding.  [`FactorTableau`] answers the band
 //! feasibility question with a representation chosen for hardware speed:
 //!
 //! * `B⁻¹` is split by band side into two `m × d̂` blocks (`d̂` = bands padded
@@ -25,13 +25,13 @@
 //!
 //! The verdict of a solve carries a *confidence* bit: when the terminal
 //! margin is near-degenerate (a tolerated-negative basic value on a feasible
-//! exit, or a thin Farkas margin on an infeasible one), the caller is told to
-//! escalate to the exact tier-2 engine instead of trusting fast arithmetic.
-//! `BatchFeasibility` in `counterpoint-core` builds its two-tier solve on
-//! exactly this contract.
+//! exit, or a thin Farkas margin on an infeasible one), the caller is told
+//! not to trust a warm-started answer.  `BatchFeasibility` in
+//! `counterpoint-core` re-solves such instances cold, from the all-slack
+//! basis, and accepts that answer.
 
-use crate::simplex::LpError;
 use counterpoint_telemetry as telemetry;
+use std::fmt;
 
 /// f64 lanes the kernels reduce in parallel; band counts are padded up to a
 /// multiple of this so every row scan runs in whole chunks.
@@ -133,7 +133,7 @@ unsafe fn dot4_diff_avx(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
     unsafe { avx::dot_diff(a, b, c) }
 }
 
-/// Tier-1 BTRAN: `rhs[i] = ge_i·neg_lo + le_i·hi` for every row of the split
+/// BTRAN: `rhs[i] = ge_i·neg_lo + le_i·hi` for every row of the split
 /// blocks.  One AVX dispatch covers the whole `m`-row sweep.
 #[inline]
 fn rhs_into(rhs: &mut [f64], ge: &[f64], le: &[f64], neg_lo: &[f64], hi: &[f64], dpad: usize) {
@@ -611,18 +611,34 @@ mod avx {
     }
 }
 
-/// The verdict of a tier-1 [`FactorTableau::resolve`]: the fast f64 decision
-/// plus whether its terminal margin is wide enough to trust without exact
-/// recertification.
+/// The verdict of a [`FactorTableau::resolve`]: the f64 decision plus whether
+/// its terminal margin is wide enough to trust without a cold re-solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FastOutcome {
     /// `true` when the band system is feasible under the given bounds.
     pub feasible: bool,
     /// `false` when the verdict was decided by a quantity within the
-    /// near-degenerate band of its threshold — callers should escalate to an
-    /// exact solve instead of trusting this answer.
+    /// near-degenerate band of its threshold — callers should re-solve cold
+    /// (from the all-slack basis) instead of trusting a warm answer.
     pub confident: bool,
 }
+
+/// Errors raised while solving a band system.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LpError {
+    /// The simplex iteration limit was exceeded (numerical cycling).
+    IterationLimit,
+}
+
+impl fmt::Display for LpError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LpError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
+        }
+    }
+}
+
+impl std::error::Error for LpError {}
 
 /// How many pivots may accumulate on the product-form factorization before it
 /// is rebuilt from the slack identity at the next solve boundary.
@@ -649,13 +665,20 @@ const FEASIBLE_MARGIN: f64 = -1e-8;
 /// rounding risk, so they stay confident.
 const RISKY_ENTRY: f64 = 1e-8;
 
+/// Dual-simplex iterations allowed per column (`m + n`) before pivot
+/// selection switches from the largest-magnitude rule to Bland's rule.  A
+/// solve that does not cycle finishes well inside one pass — the case-study
+/// systems (52 rows, 50–700 flows) take at most ~90 pivots — while a cycling
+/// one would otherwise spin until half the iteration limit.
+const BLAND_AFTER_PER_COLUMN: usize = 2;
+
 /// Warm dual-simplex feasibility of the band system `lo ≤ A·x ≤ hi`, `x ≥ 0`,
 /// on the split product-form factorization described in the module docs.
 ///
-/// The API mirrors [`Tableau`](crate::Tableau) — `band`/`rebind`/`resolve`/
-/// `resolve_with_basis`/`basis`/`basic_flows`/`farkas_multipliers` — and uses
-/// the same column indexing (structural flows first, then band slacks in row
-/// order), so a basis recorded by either engine seeds the other.
+/// Columns are numbered structural flows first, then band slacks in row
+/// order; a basis recorded by one tableau ([`basis`](FactorTableau::basis))
+/// seeds another over the same columns
+/// ([`resolve_with_basis`](FactorTableau::resolve_with_basis)).
 #[derive(Clone, Debug)]
 pub struct FactorTableau {
     num_vars: usize,
@@ -772,8 +795,8 @@ impl FactorTableau {
         self.refactor_interval = interval.max(1);
     }
 
-    /// The current basis (one column index per row), in the same column
-    /// numbering as [`Tableau::basis`](crate::Tableau::basis).
+    /// The current basis (one column index per row): flows `0..num_vars`,
+    /// then slack `i` as column `num_vars + i`.
     pub fn basis(&self) -> &[usize] {
         &self.basis
     }
@@ -874,8 +897,8 @@ impl FactorTableau {
     }
 
     /// The Farkas multipliers `π` of the most recent infeasible resolve, in
-    /// interleaved row order (same layout as
-    /// [`Tableau::farkas_multipliers`](crate::Tableau::farkas_multipliers)).
+    /// interleaved row order (`π_{2k}` for the `≥ lo_k` row, `π_{2k+1}` for
+    /// the `≤ hi_k` row).
     /// `None` if the last resolve was feasible (or none has run).
     pub fn farkas_multipliers(&self) -> Option<&[f64]> {
         self.infeasible_row.map(|_| self.farkas.as_slice())
@@ -888,7 +911,7 @@ impl FactorTableau {
     /// # Errors
     ///
     /// Returns [`LpError::IterationLimit`] if the dual simplex fails to
-    /// converge; callers should fall back to the exact engine.
+    /// converge; callers should fall back to a cold solve.
     ///
     /// # Panics
     ///
@@ -951,8 +974,7 @@ impl FactorTableau {
         self.resolve(lo, hi)
     }
 
-    /// Dual-simplex feasibility restoration with per-solve telemetry flushes,
-    /// mirroring [`Tableau`](crate::Tableau)'s reporting.
+    /// Dual-simplex feasibility restoration with per-solve telemetry flushes.
     fn restore_feasibility(&mut self) -> Result<FastOutcome, LpError> {
         let mut pivots = 0u64;
         let result = self.restore_feasibility_counted(&mut pivots);
@@ -970,16 +992,21 @@ impl FactorTableau {
         self.infeasible_row = None;
         let m = 2 * self.num_bands;
         let dpad = self.dpad;
-        // Same acceptance threshold as the exact engine, so the two tiers
-        // agree away from the escalation band.
+        // Basic values down to `-tol` count as feasible (rounding slop).
         let tol = self.epsilon.max(1e-7);
+        // Every reduced cost of a feasibility system is zero, so each dual
+        // pivot is degenerate and the largest-magnitude rule can cycle.  A
+        // solve that outlasts a few passes over the columns is cycling:
+        // Bland's rule takes over from there and guarantees termination.
+        let bland_after =
+            (self.max_iterations / 2).min(BLAND_AFTER_PER_COLUMN * (m + self.num_vars));
         let mut iterations = 0usize;
         loop {
             iterations += 1;
             if iterations > self.max_iterations {
                 return Err(LpError::IterationLimit);
             }
-            let use_bland = iterations > self.max_iterations / 2;
+            let use_bland = iterations > bland_after;
 
             // Leaving row: most negative basic value (Bland: smallest basic
             // index among the violated rows, which guarantees termination).
@@ -1000,8 +1027,7 @@ impl FactorTableau {
             };
             let Some(row) = leave else {
                 // Feasible.  A basic value deep in the tolerated-negative band
-                // means the exact engine could still see a violation here —
-                // escalate.
+                // could be a violation under exact arithmetic — not confident.
                 return Ok(FastOutcome {
                     feasible: true,
                     confident: m == 0 || min_rhs >= FEASIBLE_MARGIN,
@@ -1085,7 +1111,7 @@ impl FactorTableau {
     /// After an infeasible exit on `row`: does any rejected entering candidate
     /// sit close enough to the pivot threshold that exact arithmetic could
     /// admit it?  Exact zeros are structural (disjoint supports) and safe;
-    /// anything else in `(−ε, RISKY_ENTRY)` is a reason to escalate.
+    /// anything else in `(−ε, RISKY_ENTRY)` makes the verdict not confident.
     fn infeasible_margin_risky(&self, row: usize) -> bool {
         let risky = |a: f64| a != 0.0 && a < RISKY_ENTRY;
         // `rowbuf[..nonbasic.len()]` still holds this round's pricing pass:
@@ -1185,7 +1211,6 @@ fn axpy_row(block: &mut [f64], source: usize, target: usize, dpad: usize, factor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tableau;
 
     fn simple_bands() -> Vec<Vec<f64>> {
         vec![
@@ -1193,24 +1218,6 @@ mod tests {
             vec![0.0, 1.0, 1.0],
             vec![3.0, 0.0, 1.0],
         ]
-    }
-
-    #[test]
-    fn agrees_with_exact_tableau_on_simple_systems() {
-        let bands = simple_bands();
-        let mut fast = FactorTableau::band(3, &bands);
-        let mut exact = Tableau::band(3, &bands);
-        let cases: [(&[f64], &[f64]); 4] = [
-            (&[0.0, 0.0, 0.0], &[10.0, 10.0, 10.0]),
-            (&[1.0, 1.0, 1.0], &[5.0, 4.0, 9.0]),
-            (&[4.0, -1.0, 2.0], &[6.0, 3.0, 8.0]),
-            (&[8.0, 8.0, 1.0], &[9.0, 9.0, 1.5]),
-        ];
-        for (lo, hi) in cases {
-            let f = fast.resolve(lo, hi).expect("fast converges");
-            let e = exact.resolve(lo, hi).expect("exact converges");
-            assert_eq!(f.feasible, e, "verdicts must agree on {lo:?}..{hi:?}");
-        }
     }
 
     #[test]
@@ -1275,5 +1282,246 @@ mod tests {
             dot4_diff(&b, &a, &c),
             (2.0 - 1.0) + (0.5 - 2.0) + (1.0 - 3.0) + 9.0 + (2.0 - 5.0) + 7.0 + 7.0 + 7.0
         );
+    }
+
+    /// Decides `lo ≤ A·x ≤ hi`, `x ≥ 0` on a fresh tableau — the cold
+    /// reference a warm-started sequence must agree with.
+    fn band_feasible_cold(bands: &[Vec<f64>], lo: &[f64], hi: &[f64]) -> bool {
+        FactorTableau::band(bands[0].len(), bands)
+            .resolve(lo, hi)
+            .expect("converges")
+            .feasible
+    }
+
+    /// Asserts that the flows of the last feasible resolve satisfy every band
+    /// within the acceptance tolerance.
+    fn assert_flows_satisfy(tableau: &FactorTableau, bands: &[Vec<f64>], lo: &[f64], hi: &[f64]) {
+        let mut x = vec![0.0; tableau.num_vars()];
+        for (j, f) in tableau.basic_flows() {
+            assert!(f >= -1e-7, "flow {j} is negative: {f}");
+            x[j] = f;
+        }
+        for (k, band) in bands.iter().enumerate() {
+            let mut v = 0.0;
+            for (a, x) in band.iter().zip(&x) {
+                v += a * x;
+            }
+            assert!(
+                v >= lo[k] - 1e-6 && v <= hi[k] + 1e-6,
+                "band {k}: {v} outside [{}, {}]",
+                lo[k],
+                hi[k]
+            );
+        }
+    }
+
+    #[test]
+    fn tableau_band_matches_cold_solver() {
+        // Cone generated by (1, 0) and (1, 1): y ≤ x over the non-negative
+        // quadrant, probed through a batch of boxes.
+        let bands = vec![vec![1.0, 1.0], vec![0.0, 1.0]];
+        let cases: &[(&[f64; 2], &[f64; 2], bool)] = &[
+            (&[9.0, 3.0], &[11.0, 5.0], true),    // strictly inside
+            (&[9.0, 9.5], &[10.0, 10.5], true),   // straddles the y = x facet
+            (&[4.0, 9.0], &[5.0, 10.0], false),   // y > x everywhere
+            (&[0.0, 0.0], &[0.0, 0.0], true),     // the origin
+            (&[-2.0, -1.0], &[-1.0, 1.0], false), // x forced negative
+        ];
+        let mut tableau = FactorTableau::band(2, &bands);
+        assert_eq!(tableau.num_vars(), 2);
+        assert_eq!(tableau.num_bands(), 2);
+        for &(lo, hi, expected) in cases {
+            let warm = tableau.resolve(lo, hi).unwrap().feasible;
+            assert_eq!(warm, expected, "lo={lo:?} hi={hi:?}");
+            assert_eq!(
+                warm,
+                band_feasible_cold(&bands, lo, hi),
+                "lo={lo:?} hi={hi:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tableau_warm_restart_reuses_basis() {
+        // A drifting sequence of boxes: after the first solve, later solves
+        // start from the previous basis and must still agree with a cold solve.
+        let bands = vec![
+            vec![2.0, 1.0, 0.0],
+            vec![0.0, 1.0, 3.0],
+            vec![1.0, 1.0, 1.0],
+        ];
+        let mut tableau = FactorTableau::band(3, &bands);
+        for step in 0..40 {
+            let t = step as f64;
+            let lo = [5.0 + t, 2.0 + 0.5 * t, 3.0 + t];
+            let hi = [7.0 + t, 4.0 + 0.5 * t, 4.0 + t];
+            assert_eq!(
+                tableau.resolve(&lo, &hi).unwrap().feasible,
+                band_feasible_cold(&bands, &lo, &hi),
+                "step {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn tableau_resolve_with_basis_seeds_a_fresh_tableau() {
+        let bands = vec![vec![1.0, 1.0], vec![0.0, 1.0]];
+        let mut first = FactorTableau::band(2, &bands);
+        assert!(first.resolve(&[9.0, 3.0], &[11.0, 5.0]).unwrap().feasible);
+        let basis: Vec<usize> = first.basis().to_vec();
+
+        let mut second = FactorTableau::band(2, &bands);
+        assert!(
+            second
+                .resolve_with_basis(&[9.5, 3.5], &[10.5, 4.5], &basis)
+                .unwrap()
+                .feasible
+        );
+        assert!(
+            !second
+                .resolve_with_basis(&[4.0, 9.0], &[5.0, 10.0], &basis)
+                .unwrap()
+                .feasible
+        );
+    }
+
+    #[test]
+    fn tableau_detects_infeasibility_with_no_structural_variables() {
+        // Zero structural variables: feasible iff every band contains zero.
+        let mut tableau = FactorTableau::band(0, &[vec![], vec![]]);
+        assert!(tableau.resolve(&[-1.0, 0.0], &[1.0, 0.0]).unwrap().feasible);
+        assert!(!tableau.resolve(&[1.0, 0.0], &[2.0, 0.0]).unwrap().feasible);
+    }
+
+    #[test]
+    fn tableau_handles_degenerate_equal_bounds() {
+        // lo == hi pins the band exactly: x + y = 10 with y ∈ [0, 4].
+        let bands = vec![vec![1.0, 1.0], vec![0.0, 1.0]];
+        let mut tableau = FactorTableau::band(2, &bands);
+        assert!(
+            tableau
+                .resolve(&[10.0, 0.0], &[10.0, 4.0])
+                .unwrap()
+                .feasible
+        );
+        // x + y = 10 with y ≥ 12 is impossible.
+        assert!(
+            !tableau
+                .resolve(&[10.0, 12.0], &[10.0, 14.0])
+                .unwrap()
+                .feasible
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong length")]
+    fn tableau_bounds_length_mismatch_panics() {
+        let mut tableau = FactorTableau::band(1, &[vec![1.0]]);
+        let _ = tableau.resolve(&[0.0, 0.0], &[1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected 2")]
+    fn tableau_band_length_mismatch_panics() {
+        let _ = FactorTableau::band(2, &[vec![1.0]]);
+    }
+
+    #[test]
+    fn equality_constraints() {
+        // x + 2y = 4, x − y = 1 pins the unique point x = 2, y = 1.
+        let bands = vec![vec![1.0, 2.0], vec![1.0, -1.0]];
+        let mut tableau = FactorTableau::band(2, &bands);
+        assert!(tableau.resolve(&[4.0, 1.0], &[4.0, 1.0]).unwrap().feasible);
+        let mut x = [0.0; 2];
+        for (j, f) in tableau.basic_flows() {
+            x[j] = f;
+        }
+        assert!(
+            (x[0] - 2.0).abs() < 1e-9 && (x[1] - 1.0).abs() < 1e-9,
+            "{x:?}"
+        );
+    }
+
+    #[test]
+    fn infeasible_program() {
+        // x ≤ 1 and x ≥ 2 cannot both hold.
+        let mut tableau = FactorTableau::band(1, &[vec![1.0], vec![1.0]]);
+        assert!(!tableau.resolve(&[0.0, 2.0], &[1.0, 10.0]).unwrap().feasible);
+    }
+
+    #[test]
+    fn infeasible_due_to_nonnegativity() {
+        // x + y ≤ −1 with x, y ≥ 0 is infeasible.
+        let mut tableau = FactorTableau::band(2, &[vec![1.0, 1.0]]);
+        assert!(!tableau.resolve(&[-5.0], &[-1.0]).unwrap().feasible);
+    }
+
+    #[test]
+    fn pure_feasibility_problem() {
+        // x + y + z = 10, x ≥ 2, y ≤ 5.
+        let bands = vec![
+            vec![1.0, 1.0, 1.0],
+            vec![1.0, 0.0, 0.0],
+            vec![0.0, 1.0, 0.0],
+        ];
+        let (lo, hi) = ([10.0, 2.0, 0.0], [10.0, 100.0, 5.0]);
+        let mut tableau = FactorTableau::band(3, &bands);
+        assert!(tableau.resolve(&lo, &hi).unwrap().feasible);
+        assert_flows_satisfy(&tableau, &bands, &lo, &hi);
+    }
+
+    #[test]
+    fn negative_rhs_is_normalised() {
+        // −x ∈ [−10, −3]  ⇔  x ∈ [3, 10]: negative coefficients and bounds.
+        let bands = vec![vec![-1.0]];
+        let mut tableau = FactorTableau::band(1, &bands);
+        assert!(tableau.resolve(&[-10.0], &[-3.0]).unwrap().feasible);
+        assert_flows_satisfy(&tableau, &bands, &[-10.0], &[-3.0]);
+        // −x ∈ [1, 2] would need x < 0.
+        assert!(!tableau.resolve(&[1.0], &[2.0]).unwrap().feasible);
+    }
+
+    #[test]
+    fn degenerate_vertex_is_handled() {
+        // Four bands meet at the single feasible point (1, 1).
+        let bands = vec![
+            vec![1.0, 0.0],
+            vec![0.0, 1.0],
+            vec![1.0, 1.0],
+            vec![1.0, -1.0],
+        ];
+        let (lo, hi) = ([0.0, 0.0, 2.0, -10.0], [1.0, 1.0, 2.0, 0.0]);
+        let mut tableau = FactorTableau::band(2, &bands);
+        assert!(tableau.resolve(&lo, &hi).unwrap().feasible);
+        assert_flows_satisfy(&tableau, &bands, &lo, &hi);
+    }
+
+    #[test]
+    fn cone_membership_as_lp() {
+        // Is (5, 2) a non-negative combination of (1, 0) and (1, 1)?  (yes: 3, 2)
+        let bands = vec![vec![1.0, 1.0], vec![0.0, 1.0]];
+        let mut tableau = FactorTableau::band(2, &bands);
+        assert!(tableau.resolve(&[5.0, 2.0], &[5.0, 2.0]).unwrap().feasible);
+        // Is (1, 2)?  (no: would need negative flow on the first generator)
+        assert!(!tableau.resolve(&[1.0, 2.0], &[1.0, 2.0]).unwrap().feasible);
+    }
+
+    #[test]
+    fn many_variables_feasibility() {
+        // A wide problem similar in shape to μpath-flow feasibility: 300 flow
+        // variables, 10 bands.
+        let n = 300;
+        let bands: Vec<Vec<f64>> = (0..10)
+            .map(|c| (0..n).map(|j| ((j + c) % 5) as f64).collect())
+            .collect();
+        let (lo, hi) = (vec![500.0; 10], vec![1000.0; 10]);
+        let mut tableau = FactorTableau::band(n, &bands);
+        assert!(tableau.resolve(&lo, &hi).unwrap().feasible);
+        assert_flows_satisfy(&tableau, &bands, &lo, &hi);
+    }
+
+    #[test]
+    fn error_display() {
+        assert!(LpError::IterationLimit.to_string().contains("iteration"));
     }
 }

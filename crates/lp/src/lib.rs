@@ -1,4 +1,4 @@
-//! A dense two-phase primal-simplex linear-programming solver.
+//! A warm-startable dual-simplex solver for band feasibility systems.
 //!
 //! The paper's CounterPoint implementation relies on an off-the-shelf LP toolkit
 //! (`pulp`/CBC) for two tasks:
@@ -8,28 +8,29 @@
 //! * **redundancy elimination** — detecting μpath counter signatures that lie in the
 //!   interior of the model cone during constraint deduction.
 //!
-//! Both only need small-to-medium dense LPs (tens of constraints, up to a few
-//! thousand flow variables), so this crate implements a self-contained dense
-//! two-phase simplex rather than binding to an external solver.
+//! Both are feasibility questions over non-negative flows: is there an
+//! `x ≥ 0` with `lo ≤ A·x ≤ hi`?  (Redundancy elimination is the `lo == hi`
+//! special case.)  [`FactorTableau`] answers exactly that with a dual simplex
+//! on a product-form factorization, warm-started across bound changes, and
+//! reports the Farkas multipliers of every infeasible verdict.
 //!
 //! # Example
 //!
 //! ```
-//! use counterpoint_lp::{LinearProgram, Relation, LpOutcome};
+//! use counterpoint_lp::FactorTableau;
 //!
-//! // maximize x + y  s.t.  x + 2y <= 4,  3x + y <= 6,  x, y >= 0
-//! let mut lp = LinearProgram::new(2);
-//! lp.add_constraint(&[1.0, 2.0], Relation::Le, 4.0);
-//! lp.add_constraint(&[3.0, 1.0], Relation::Le, 6.0);
-//! lp.set_objective_maximize(&[1.0, 1.0]);
-//! match lp.solve() {
-//!     LpOutcome::Optimal { objective, .. } => assert!((objective - 2.8).abs() < 1e-7),
-//!     other => panic!("unexpected outcome: {other:?}"),
-//! }
+//! // Is there x, y ≥ 0 with 2 ≤ x + 2y ≤ 4 and 1 ≤ 3x + y ≤ 6?
+//! let mut lp = FactorTableau::band(2, &[vec![1.0, 2.0], vec![3.0, 1.0]]);
+//! let outcome = lp.resolve(&[2.0, 1.0], &[4.0, 6.0]).expect("converges");
+//! assert!(outcome.feasible && outcome.confident);
+//!
+//! // Tightening the second band to 3x + y ≤ -1 leaves no non-negative point;
+//! // the warm resolve says so and keeps the Farkas multipliers.
+//! let outcome = lp.resolve(&[2.0, -5.0], &[4.0, -1.0]).expect("converges");
+//! assert!(!outcome.feasible);
+//! assert!(lp.farkas_multipliers().is_some());
 //! ```
 
 pub mod factor;
-pub mod simplex;
 
-pub use factor::{FactorTableau, FastOutcome};
-pub use simplex::{LinearProgram, LpError, LpOutcome, Relation, Tableau};
+pub use factor::{FactorTableau, FastOutcome, LpError};

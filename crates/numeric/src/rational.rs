@@ -235,8 +235,8 @@ impl Rational {
     }
 
     /// Overflow-safe addition: `None` when an intermediate exceeds `i128`
-    /// instead of panicking like the `+` operator.  The two-tier feasibility
-    /// engine recertifies near-degenerate float verdicts through these checked
+    /// instead of panicking like the `+` operator.  The batched feasibility
+    /// engine recertifies near-degenerate float evidence through these checked
     /// entry points and degrades gracefully (drops the evidence, keeps the
     /// verdict) when a value falls outside the exact regime.
     pub fn checked_add(self, other: Rational) -> Option<Rational> {

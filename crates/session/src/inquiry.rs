@@ -659,6 +659,28 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_observations_are_reported_inconclusive() {
+        let mut observations = toy_observations();
+        observations.push(Observation::exact("nan", &[f64::NAN, 1.0]));
+        observations.push(Observation::exact("inf", &[f64::INFINITY, 1.0]));
+        let report = toy_inquiry().observations(observations).run().unwrap();
+        for model in ["base", "with-fy"] {
+            for obs in ["nan", "inf"] {
+                let verdict = report.verdict(model, obs).unwrap();
+                assert!(
+                    matches!(verdict, Verdict::Inconclusive { .. }),
+                    "{model} on {obs}: {verdict:?}"
+                );
+            }
+            let row = report.model(model).unwrap();
+            assert_eq!(row.inconclusive_count, 2, "{model}");
+        }
+        // The finite observations keep their verdicts.
+        assert!(report.verdict("base", "balanced").unwrap().is_refuted());
+        assert!(report.verdict("with-fy", "balanced").unwrap().is_feasible());
+    }
+
+    #[test]
     fn constraint_deduction_names_the_violations() {
         let report = toy_inquiry().deduce_constraints(true).run().unwrap();
         let verdict = report.verdict("base", "balanced").unwrap();

@@ -35,7 +35,8 @@ pub enum Verdict {
         /// violates (populated only when the inquiry deduced constraints).
         violated_constraints: Vec<String>,
     },
-    /// No verdict could be reached (the LP failed to converge on every path).
+    /// No verdict could be reached (a non-finite observation, or an LP that
+    /// failed to converge on both the warm and the cold solve).
     Inconclusive {
         /// Why the decision could not be made.
         reason: String,

@@ -112,7 +112,8 @@ pub enum Metric {
     CoefficientCacheHits,
     /// Batch-feasibility calls that had to rebuild the coefficient matrix.
     CoefficientCacheMisses,
-    /// Warm-started solves that failed and fell back to a cold solver chain.
+    /// Warm-started solves that hit their iteration limit and were re-solved
+    /// cold.
     ColdSolverFallbacks,
     /// Lattice frontier batches dispatched to the worker pool.
     FrontierBatches,
@@ -126,8 +127,8 @@ pub enum Metric {
     ScheduleOversubscribedEvents,
     /// Schedules whose noise inflation exceeded the warning threshold.
     ScheduleInflationWarnings,
-    /// Fast (tier-1) feasibility solves whose verdict margin was too thin and
-    /// were re-run on the exact tier-2 engine.
+    /// Warm feasibility solves whose verdict margin was too thin to trust and
+    /// were re-solved cold from the all-slack basis.
     LpTier2Escalations,
     /// Harvested certificates or witness rays whose float margin was
     /// near-degenerate and were re-verified in exact rational arithmetic.
@@ -135,8 +136,9 @@ pub enum Metric {
     /// Enumerated model candidates skipped because their μDD exceeded the
     /// configured path limit.
     PathLimitModelSkips,
-    /// LP decisions that exhausted every solve path without converging and
-    /// reported an inconclusive verdict instead of a decision.
+    /// Feasibility decisions that reported an inconclusive verdict instead of
+    /// a decision: a non-finite observation, or a warm solve and its cold
+    /// re-solve that both failed to converge.
     LpInconclusiveVerdicts,
     /// Pooled Farkas certificates harvested in one model family that pruned
     /// an observation in a *different* family.

@@ -2,10 +2,8 @@
 //! subsystem: a campaign recorded on the simulator, serialised to JSON,
 //! parsed back (exercising the vendored serde/serde_json stack on nested
 //! structs), and replayed through [`ReplayBackend`] must reproduce the original
-//! observations bit-for-bit — and match the pre-rewire harness output exactly.
+//! observations bit-for-bit — and match an unrecorded run of the same campaign.
 
-#[allow(deprecated)] // the deprecated harness shim must stay in lockstep until removed
-use counterpoint::models::harness::collect_case_study_observations;
 use counterpoint::models::harness::{case_study_campaign, HarnessConfig};
 use counterpoint::{Observation, ReplayBackend, Trace};
 use counterpoint_haswell::mem::PageSize;
@@ -32,7 +30,6 @@ fn small_config() -> HarnessConfig {
 }
 
 #[test]
-#[allow(deprecated)] // the deprecated harness shim must stay in lockstep until removed
 fn recorded_campaign_replays_bit_identically() {
     let config = small_config();
     let campaign = case_study_campaign(&config);
@@ -41,9 +38,9 @@ fn recorded_campaign_replays_bit_identically() {
     let (live, trace) = campaign.run_sim_recorded(&config.mmu, &config.pmu);
     assert_eq!(trace.records.len(), campaign.cells().len());
 
-    // The default campaign path and the harness entry point agree exactly.
-    let harness = collect_case_study_observations(&config);
-    assert_observations_identical(&live, &harness);
+    // Recording does not perturb collection: a plain run agrees exactly.
+    let plain = campaign.run_sim(&config.mmu, &config.pmu);
+    assert_observations_identical(&live, &plain);
 
     // JSON round trip: serialise, parse, replay. Floats round-trip bit-exactly,
     // so the replayed observations are indistinguishable from the live ones.

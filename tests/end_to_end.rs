@@ -10,10 +10,12 @@ use counterpoint::models::family::{
 };
 use counterpoint::models::harness::{case_study_campaign, HarnessConfig};
 use counterpoint::workloads::{LinearAccess, RandomAccess, Workload};
-use counterpoint::{FeasibilityChecker, NoiseModel, Observation};
+use counterpoint::{
+    check_models_verdicts, BatchFeasibility, FeasibilityChecker, FeasibilityVerdict, NoiseModel,
+    Observation,
+};
 
-/// The case-study observation set for a config (the non-deprecated campaign
-/// path behind the old `collect_case_study_observations` shim).
+/// The case-study observation set for a config.
 fn collect(config: &HarnessConfig) -> Vec<Observation> {
     case_study_campaign(config).run_sim(&config.mmu, &config.pmu)
 }
@@ -161,5 +163,70 @@ fn speculative_trigger_models_accept_everything_the_abstract_model_accepts() {
     assert_eq!(
         FeasibilityChecker::new(&t0).count_infeasible(&observations),
         0
+    );
+}
+
+/// Every verdict of the m0–m11 matrix on the case-study observations carries
+/// evidence that checks out on its own, without re-running the LP: a
+/// refutation's Farkas certificate keeps every generator of its cone on the
+/// non-negative side while the whole confidence region sits strictly on the
+/// negative side, and a feasible verdict's witness lies inside the region.
+#[test]
+fn verdict_evidence_is_independently_checkable() {
+    let mut config = HarnessConfig::quick();
+    config.accesses_per_workload = 15_000;
+    let observations = collect(&config);
+    let cones: Vec<counterpoint::ModelCone> = (0..12).map(|i| model(&format!("m{i}"))).collect();
+    let refs: Vec<&counterpoint::ModelCone> = cones.iter().collect();
+    let verdicts = check_models_verdicts(&refs, &observations, 1);
+
+    let (mut refuted, mut feasible) = (0, 0);
+    for (cone, row) in cones.iter().zip(&verdicts) {
+        let engine = BatchFeasibility::new(cone);
+        for (obs, verdict) in observations.iter().zip(row) {
+            let region = obs.region();
+            let label = format!("{} on {}", cone.name(), obs.name());
+            match verdict {
+                FeasibilityVerdict::Refuted { certificate } => {
+                    refuted += 1;
+                    assert!(!certificate.is_empty(), "{label}: empty certificate");
+                    assert!(
+                        engine.certificate_applies(certificate),
+                        "{label}: the certificate cuts off a generator"
+                    );
+                    let (_, hi) = region.interval_along(certificate);
+                    assert!(
+                        hi < 0.0,
+                        "{label}: the region reaches {hi} along the certificate"
+                    );
+                }
+                FeasibilityVerdict::Feasible { witness } => {
+                    feasible += 1;
+                    let scale = region
+                        .center()
+                        .iter()
+                        .fold(1.0f64, |acc, v| acc.max(v.abs()));
+                    let tolerance = 1e-7 * scale;
+                    for (axis, &width) in region.axes().iter().zip(region.half_widths()) {
+                        let offset: f64 = axis
+                            .iter()
+                            .zip(witness.iter().zip(region.center()))
+                            .map(|(a, (w, c))| a * (w - c))
+                            .sum();
+                        assert!(
+                            offset.abs() <= width + tolerance,
+                            "{label}: the witness is {offset} off-centre along an axis of half-width {width}"
+                        );
+                    }
+                }
+                FeasibilityVerdict::Inconclusive { reason } => {
+                    panic!("{label}: inconclusive ({reason})")
+                }
+            }
+        }
+    }
+    assert!(
+        refuted > 0 && feasible > 0,
+        "both verdict kinds must be exercised"
     );
 }

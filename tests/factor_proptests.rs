@@ -1,7 +1,7 @@
-//! Property tests for the two-tier LP core.
+//! Property tests for the LP core.
 //!
-//! The tier-1 [`FactorTableau`] promises two things that ordinary example
-//! tests cannot pin down:
+//! [`FactorTableau`] promises two things that ordinary example tests cannot
+//! pin down:
 //!
 //! 1. **Bit-for-bit reproducibility.**  Every reduction goes through one
 //!    deterministic 4-lane kernel, so the product-form (eta) updated engine
@@ -9,20 +9,20 @@
 //!    multipliers — to a straightforward dense-`B⁻¹` implementation of the
 //!    same pivot rules, on any input and across any pivot sequence.  The
 //!    [`DenseRef`] engine below stores `B⁻¹` as one interleaved dense block
-//!    (the representation `Tableau` uses) and reduces with the same fixed
+//!    (the textbook revised-simplex representation) and reduces with the same fixed
 //!    `(l0 + l2) + (l1 + l3)` lane fold; the property compares every solve of
 //!    a warm-started sequence bitwise.
-//! 2. **Escalation soundness.**  A *confident* tier-1 verdict must agree with
-//!    the exact engine, and the two-tier [`BatchFeasibility`] front end must
-//!    never answer differently from the always-exact
-//!    [`FeasibilityChecker`] — tier-2 escalation may cost time, never
-//!    correctness.
+//! 2. **Escalation soundness.**  A *confident* warm verdict must agree with
+//!    the dense reference solving the same sequence, and the warm-started
+//!    [`BatchFeasibility`] front end must never answer differently from the
+//!    cold per-observation [`FeasibilityChecker`] — re-solving a
+//!    non-confident verdict cold may cost time, never correctness.
 //!
 //! The vendored proptest shim draws inputs from a deterministic per-test RNG,
 //! so these suites are reproducible run-to-run.
 
 use counterpoint::lp::factor::{dot4, dot4_diff, padded, LANES};
-use counterpoint::lp::{FactorTableau, Tableau};
+use counterpoint::lp::FactorTableau;
 use counterpoint::mudd::{CounterSignature, CounterSpace};
 use counterpoint::{BatchFeasibility, FeasibilityChecker, ModelCone, Observation};
 use proptest::collection::vec as pvec;
@@ -36,6 +36,7 @@ const TOL: f64 = 1e-7;
 const FEASIBLE_MARGIN: f64 = -1e-8;
 const INFEASIBLE_MARGIN: f64 = 1e-6;
 const RISKY_ENTRY: f64 = 1e-8;
+const BLAND_AFTER_PER_COLUMN: usize = 2;
 
 /// The deterministic 4-lane fold `Σ a·b`, written independently of the
 /// production kernels: four independent lane accumulators over whole chunks,
@@ -152,9 +153,10 @@ impl DenseRef {
         c
     }
 
-    /// Warm dual-simplex resolve under new bounds.  Returns `None` if the
-    /// iteration cap is hit (the production engine would eventually switch to
-    /// Bland's rule there; such cases are rejected rather than compared).
+    /// Warm dual-simplex resolve under new bounds, switching to Bland's rule
+    /// after `BLAND_AFTER_PER_COLUMN · (m + n)` iterations like the production
+    /// engine.  Returns `None` if the iteration cap is hit (such cases are
+    /// rejected rather than compared).
     fn resolve(&mut self, lo: &[f64], hi: &[f64]) -> Option<RefOutcome> {
         let m = self.m();
         self.infeasible = false;
@@ -175,15 +177,22 @@ impl DenseRef {
                 self.rhs[i] = fold_dot(&ge, &neg_lo) + fold_dot(&le, &hi_pad);
             }
         }
-        for _ in 0..10_000 {
+        let bland_after = BLAND_AFTER_PER_COLUMN * (m + self.n);
+        for iteration in 1..=10_000 {
+            let bland = iteration > bland_after;
             // Leaving row: the first row attaining the strict minimum basic
-            // value, if that minimum violates the acceptance tolerance.
-            let mut leave = None;
+            // value (Bland: the violated row with the smallest basic column),
+            // if that minimum violates the acceptance tolerance.
+            let mut leave: Option<usize> = None;
             let mut worst = -TOL;
             let mut min_rhs = f64::INFINITY;
             for (i, &v) in self.rhs.iter().enumerate() {
                 min_rhs = min_rhs.min(v);
-                if v < worst {
+                if bland {
+                    if v < -TOL && leave.is_none_or(|l| self.basis[i] < self.basis[l]) {
+                        leave = Some(i);
+                    }
+                } else if v < worst {
                     worst = v;
                     leave = Some(i);
                 }
@@ -206,23 +215,20 @@ impl DenseRef {
                 .filter(|&j| !self.in_basis[j])
                 .map(|j| (j, fold_dot(&delta, &self.band_col(j))))
                 .collect();
+            // Entering column: the largest-magnitude negative entry (Bland:
+            // the first negative entry in column order).
+            let slacks = (0..m)
+                .filter(|&i| !self.in_basis[self.n + i])
+                .map(|i| (self.n + i, self.binv[row * m + i]));
             let mut enter = None;
             let mut best = EPSILON;
-            for &(j, a) in &priced {
+            for (j, a) in priced.iter().copied().chain(slacks) {
                 if a < -EPSILON && -a > best {
-                    best = -a;
                     enter = Some(j);
-                }
-            }
-            for i in 0..m {
-                let j = self.n + i;
-                if self.in_basis[j] {
-                    continue;
-                }
-                let a = self.binv[row * m + i];
-                if a < -EPSILON && -a > best {
+                    if bland {
+                        break;
+                    }
                     best = -a;
-                    enter = Some(j);
                 }
             }
             let Some(col) = enter else {
@@ -384,10 +390,10 @@ proptest! {
     }
 
     /// With periodic refactorization enabled (random, aggressive intervals so
-    /// rebuilds actually trigger), a *confident* tier-1 verdict always agrees
-    /// with the exact dense engine on the same warm-started bounds sequence —
-    /// the escalation contract `BatchFeasibility` relies on: only
-    /// low-confidence verdicts ever need tier 2.
+    /// rebuilds actually trigger), a *confident* verdict always agrees with
+    /// the never-refactorizing dense reference on the same warm-started
+    /// bounds sequence — the escalation contract `BatchFeasibility` relies
+    /// on: only low-confidence verdicts ever need a cold re-solve.
     #[test]
     fn confident_verdicts_match_exact_engine_across_refactorization(
         d in 1usize..=3,
@@ -400,25 +406,53 @@ proptest! {
         let bands: Vec<Vec<f64>> = (0..d).map(|k| coeffs[k * n..(k + 1) * n].to_vec()).collect();
         let mut fast = FactorTableau::band(n, &bands);
         fast.set_refactor_interval(interval);
-        let mut exact = Tableau::band(n, &bands);
+        let mut dense = DenseRef::new(n, &bands);
 
         for s in 0..num_solves {
             let base = s * 2 * d;
             let lo: Vec<f64> = (0..d).map(|k| bounds[base + k]).collect();
             let hi: Vec<f64> = (0..d).map(|k| bounds[base + d + k]).collect();
 
-            let (Ok(outcome), Ok(exact_feasible)) = (fast.resolve(&lo, &hi), exact.resolve(&lo, &hi))
+            let (Ok(outcome), Some(reference)) = (fast.resolve(&lo, &hi), dense.resolve(&lo, &hi))
             else {
                 return Err(TestCaseError::reject("an engine hit its iteration limit"));
             };
             if outcome.confident {
                 prop_assert_eq!(
                     outcome.feasible,
-                    exact_feasible,
-                    "solve {s}: confident tier-1 verdict contradicts the exact engine"
+                    reference.feasible,
+                    "solve {s}: confident verdict contradicts the dense reference"
                 );
             }
         }
+    }
+}
+
+/// A hand-picked warm-started bounds sequence over a fixed 3 × 3 band system:
+/// loose, tight-but-feasible, infeasible and pinned-band bounds.  Both
+/// engines must reach the same verdict on each.
+#[test]
+fn agrees_with_dense_reference_on_simple_systems() {
+    let bands = vec![
+        vec![1.0, 2.0, 0.0],
+        vec![0.0, 1.0, 1.0],
+        vec![3.0, 0.0, 1.0],
+    ];
+    let mut fast = FactorTableau::band(3, &bands);
+    let mut dense = DenseRef::new(3, &bands);
+    let cases: [(&[f64], &[f64]); 4] = [
+        (&[0.0, 0.0, 0.0], &[10.0, 10.0, 10.0]),
+        (&[1.0, 1.0, 1.0], &[5.0, 4.0, 9.0]),
+        (&[4.0, -1.0, 2.0], &[6.0, 3.0, 8.0]),
+        (&[8.0, 8.0, 1.0], &[9.0, 9.0, 1.5]),
+    ];
+    for (lo, hi) in cases {
+        let f = fast.resolve(lo, hi).expect("fast converges");
+        let r = dense.resolve(lo, hi).expect("reference converges");
+        assert_eq!(
+            f.feasible, r.feasible,
+            "verdicts must agree on {lo:?}..{hi:?}"
+        );
     }
 }
 
@@ -435,9 +469,9 @@ fn cone_from_counts(dim: usize, num_sigs: usize, sig_data: &[u32]) -> ModelCone 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Tier-2 escalation never changes a verdict: the two-tier
-    /// `BatchFeasibility` front end — cold per observation and warm-started
-    /// across a whole observation set — answers exactly like the always-exact
+    /// Cold re-solves never change a verdict: the `BatchFeasibility` front
+    /// end — fresh per observation and warm-started across a whole
+    /// observation set — answers exactly like the cold per-observation
     /// `FeasibilityChecker` on random cones, random points, and points
     /// constructed to lie inside the cone (nonnegative signature
     /// combinations, so both branches of the verdict get exercised).
@@ -472,13 +506,13 @@ proptest! {
             prop_assert_eq!(
                 BatchFeasibility::new(&cone).is_feasible(obs),
                 expected,
-                "cold two-tier verdict diverged on {}",
+                "fresh engine verdict diverged on {}",
                 obs.name()
             );
             prop_assert_eq!(
                 warm.is_feasible(obs),
                 expected,
-                "warm two-tier verdict diverged on {}",
+                "warm engine verdict diverged on {}",
                 obs.name()
             );
         }
