@@ -5,6 +5,7 @@
 use counterpoint::models::family::{build_feature_model, feature_sets_table3};
 use counterpoint::workloads::{LinearAccess, RandomAccess, Workload};
 use counterpoint_haswell::full_counter_space;
+use counterpoint_haswell::hec::{AccessType, Event, Hec};
 use counterpoint_haswell::mem::PageSize;
 use counterpoint_haswell::mmu::{HaswellMmu, MmuConfig};
 use counterpoint_haswell::pmu::{MultiplexingPmu, PmuConfig};
@@ -44,14 +45,14 @@ fn bench_mmu_simulation(c: &mut Criterion) {
         b.iter(|| {
             let mut mmu = HaswellMmu::new(MmuConfig::haswell());
             mmu.run(linear.iter().copied(), PageSize::Size4K);
-            mmu.counts().get("load.ret")
+            mmu.counts().get(Hec::of(AccessType::Load, Event::Ret))
         });
     });
     group.bench_function("random_1GiB_footprint", |b| {
         b.iter(|| {
             let mut mmu = HaswellMmu::new(MmuConfig::haswell());
             mmu.run(random.iter().copied(), PageSize::Size4K);
-            mmu.counts().get("load.ret")
+            mmu.counts().get(Hec::of(AccessType::Load, Event::Ret))
         });
     });
     group.finish();

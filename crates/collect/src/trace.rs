@@ -79,7 +79,7 @@ impl Trace {
 
     /// Renders the trace as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("trace samples are finite")
+        serde_json::to_string_pretty(self).expect("trace JSON rendering is infallible")
     }
 
     /// Parses a trace from JSON text, rejecting unknown format versions.

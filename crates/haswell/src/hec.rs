@@ -1,8 +1,8 @@
-//! The Haswell address-translation hardware event counters (paper, Table 2).
+//! The Haswell address-translation hardware event counters (paper, Table 2): one
+//! static name table, [`HEC_NAMES`], and the typed [`Hec`] ids that index it.
 
 use counterpoint_mudd::CounterSpace;
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Whether a μop (and therefore its HECs) is a load or a store.
@@ -17,21 +17,37 @@ pub enum AccessType {
 impl AccessType {
     /// The two access types, in canonical order.
     pub const ALL: [AccessType; 2] = [AccessType::Load, AccessType::Store];
-
-    /// The prefix used in counter names (`load` / `store`).
-    pub fn prefix(&self) -> &'static str {
-        match self {
-            AccessType::Load => "load",
-            AccessType::Store => "store",
-        }
-    }
 }
 
+/// The prefix used in counter names (`load` / `store`).
 impl fmt::Display for AccessType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.prefix())
+        f.write_str(match self {
+            AccessType::Load => "load",
+            AccessType::Store => "store",
+        })
     }
 }
+
+/// The 26 counter names of the paper's Table 2, in canonical order: groups in
+/// `Ret`, `STLB`, `Walk`, `Refs` order, and inside the first three groups the
+/// `load.*` counters before the matching `store.*` ones.
+#[rustfmt::skip]
+pub const HEC_NAMES: [&str; 26] = [
+    // Ret
+    "load.ret", "load.ret_stlb_miss",
+    "store.ret", "store.ret_stlb_miss",
+    // STLB
+    "load.stlb_hit", "load.stlb_hit_4k", "load.stlb_hit_2m",
+    "store.stlb_hit", "store.stlb_hit_4k", "store.stlb_hit_2m",
+    // Walk
+    "load.causes_walk", "load.walk_done", "load.walk_done_4k", "load.walk_done_2m",
+    "load.walk_done_1g", "load.pde$_miss",
+    "store.causes_walk", "store.walk_done", "store.walk_done_4k", "store.walk_done_2m",
+    "store.walk_done_1g", "store.pde$_miss",
+    // Refs
+    "walk_ref.l1", "walk_ref.l2", "walk_ref.l3", "walk_ref.mem",
+];
 
 /// The counter groups of the paper's Table 2 / Figures 1b and 9.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
@@ -56,71 +72,101 @@ impl HecGroup {
         HecGroup::Refs,
     ];
 
-    /// Short label used in figures (`Ret`, `L2TLB`, `Walk`, `Refs`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            HecGroup::Ret => "Ret",
-            HecGroup::Stlb => "L2TLB",
-            HecGroup::Walk => "Walk",
-            HecGroup::Refs => "Refs",
-        }
-    }
-
     /// The counter names belonging to this group.
-    pub fn counters(&self) -> Vec<String> {
+    pub fn counters(&self) -> &'static [&'static str] {
         match self {
-            HecGroup::Ret => AccessType::ALL
-                .iter()
-                .flat_map(|t| vec![format!("{t}.ret"), format!("{t}.ret_stlb_miss")])
-                .collect(),
-            HecGroup::Stlb => AccessType::ALL
-                .iter()
-                .flat_map(|t| {
-                    vec![
-                        format!("{t}.stlb_hit"),
-                        format!("{t}.stlb_hit_4k"),
-                        format!("{t}.stlb_hit_2m"),
-                    ]
-                })
-                .collect(),
-            HecGroup::Walk => AccessType::ALL
-                .iter()
-                .flat_map(|t| {
-                    vec![
-                        format!("{t}.causes_walk"),
-                        format!("{t}.walk_done"),
-                        format!("{t}.walk_done_4k"),
-                        format!("{t}.walk_done_2m"),
-                        format!("{t}.walk_done_1g"),
-                        format!("{t}.pde$_miss"),
-                    ]
-                })
-                .collect(),
-            HecGroup::Refs => vec![
-                "walk_ref.l1".to_string(),
-                "walk_ref.l2".to_string(),
-                "walk_ref.l3".to_string(),
-                "walk_ref.mem".to_string(),
-            ],
+            HecGroup::Ret => &HEC_NAMES[..4],
+            HecGroup::Stlb => &HEC_NAMES[4..10],
+            HecGroup::Walk => &HEC_NAMES[10..22],
+            HecGroup::Refs => &HEC_NAMES[22..],
         }
     }
+}
 
-    /// The full Linux-perf event name each of this paper's short names maps to
-    /// (Table 2's "Full Event Name" column), for documentation purposes.
-    pub fn perf_event_prefix(&self) -> &'static str {
-        match self {
-            HecGroup::Ret => "mem_uops_retired",
-            HecGroup::Stlb | HecGroup::Walk => "dtlb_store_misses / dtlb_load_misses",
-            HecGroup::Refs => "page_walker_loads",
-        }
+/// The per-access-type events of Table 2: with an [`AccessType`] each names one
+/// counter (`Event::CausesWalk` with `Store` is `store.causes_walk`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Event {
+    /// `T.ret`
+    Ret,
+    /// `T.ret_stlb_miss`
+    RetStlbMiss,
+    /// `T.stlb_hit`
+    StlbHit,
+    /// `T.stlb_hit_4k`
+    StlbHit4k,
+    /// `T.stlb_hit_2m`
+    StlbHit2m,
+    /// `T.causes_walk`
+    CausesWalk,
+    /// `T.walk_done`
+    WalkDone,
+    /// `T.walk_done_4k`
+    WalkDone4k,
+    /// `T.walk_done_2m`
+    WalkDone2m,
+    /// `T.walk_done_1g`
+    WalkDone1g,
+    /// `T.pde$_miss`
+    PdeMiss,
+}
+
+/// One of the 26 Table 2 counters: its position in [`HEC_NAMES`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hec(u8);
+
+impl Hec {
+    /// The counter of `event` for μops of type `t`.
+    pub const fn of(t: AccessType, event: Event) -> Hec {
+        // Positions in [`HEC_NAMES`], in `Event` order: each group lists its
+        // load counters, then the matching store ones.
+        const LOAD: [u8; 11] = [0, 1, 4, 5, 6, 10, 11, 12, 13, 14, 15];
+        const STORE: [u8; 11] = [2, 3, 7, 8, 9, 16, 17, 18, 19, 20, 21];
+        let positions = match t {
+            AccessType::Load => LOAD,
+            AccessType::Store => STORE,
+        };
+        Hec(positions[event as usize])
+    }
+
+    /// The walker-reference counter of a cache level: `1`–`3` are
+    /// `walk_ref.l1`–`walk_ref.l3`, `4` is `walk_ref.mem`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is not in `1..=4`.
+    pub fn walk_ref(level: usize) -> Hec {
+        assert!((1..=4).contains(&level), "walk_ref level must be 1..=4");
+        let l1 = HEC_NAMES.len() - HecGroup::Refs.counters().len();
+        Hec((l1 + level - 1) as u8)
+    }
+
+    /// The Table 2 counter behind each column of `space`, in column order
+    /// (`None` for a name outside Table 2).
+    pub fn columns(space: &CounterSpace) -> Vec<Option<Hec>> {
+        let position = |name: &str| HEC_NAMES.iter().position(|&h| h == name);
+        space
+            .names()
+            .iter()
+            .map(|n| position(n).map(|i| Hec(i as u8)))
+            .collect()
+    }
+
+    /// Position in [`HEC_NAMES`] (and in [`full_counter_space`]).
+    pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The counter's Table 2 name, e.g. `load.causes_walk`.
+    pub const fn name(self) -> &'static str {
+        HEC_NAMES[self.index()]
     }
 }
 
 /// The full 26-counter space of the paper's Table 2, in canonical order
 /// (groups in `Ret`, `STLB`, `Walk`, `Refs` order).
 pub fn full_counter_space() -> CounterSpace {
-    let names: Vec<String> = HecGroup::ALL.iter().flat_map(|g| g.counters()).collect();
-    CounterSpace::new(&names)
+    CounterSpace::new(&HEC_NAMES)
 }
 
 /// The counter space obtained by taking the first `n` groups of
@@ -131,136 +177,59 @@ pub fn full_counter_space() -> CounterSpace {
 /// Panics if `n` is zero or greater than the number of groups.
 pub fn cumulative_group_space(n: usize) -> CounterSpace {
     assert!(n >= 1 && n <= HecGroup::ALL.len(), "need 1..=4 groups");
-    let names: Vec<String> = HecGroup::ALL[..n]
-        .iter()
-        .flat_map(|g| g.counters())
-        .collect();
-    CounterSpace::new(&names)
+    let end: usize = HecGroup::ALL[..n].iter().map(|g| g.counters().len()).sum();
+    CounterSpace::new(&HEC_NAMES[..end])
 }
 
-/// Counter name helpers (avoid typo-prone string formatting at call sites).
-pub mod names {
-    use super::AccessType;
-
-    /// `T.ret`
-    pub fn ret(t: AccessType) -> String {
-        format!("{t}.ret")
-    }
-    /// `T.ret_stlb_miss`
-    pub fn ret_stlb_miss(t: AccessType) -> String {
-        format!("{t}.ret_stlb_miss")
-    }
-    /// `T.stlb_hit`
-    pub fn stlb_hit(t: AccessType) -> String {
-        format!("{t}.stlb_hit")
-    }
-    /// `T.stlb_hit_4k`
-    pub fn stlb_hit_4k(t: AccessType) -> String {
-        format!("{t}.stlb_hit_4k")
-    }
-    /// `T.stlb_hit_2m`
-    pub fn stlb_hit_2m(t: AccessType) -> String {
-        format!("{t}.stlb_hit_2m")
-    }
-    /// `T.causes_walk`
-    pub fn causes_walk(t: AccessType) -> String {
-        format!("{t}.causes_walk")
-    }
-    /// `T.walk_done`
-    pub fn walk_done(t: AccessType) -> String {
-        format!("{t}.walk_done")
-    }
-    /// `T.walk_done_4k`
-    pub fn walk_done_4k(t: AccessType) -> String {
-        format!("{t}.walk_done_4k")
-    }
-    /// `T.walk_done_2m`
-    pub fn walk_done_2m(t: AccessType) -> String {
-        format!("{t}.walk_done_2m")
-    }
-    /// `T.walk_done_1g`
-    pub fn walk_done_1g(t: AccessType) -> String {
-        format!("{t}.walk_done_1g")
-    }
-    /// `T.pde$_miss`
-    pub fn pde_miss(t: AccessType) -> String {
-        format!("{t}.pde$_miss")
-    }
-    /// `walk_ref.l1` / `.l2` / `.l3` / `.mem`
-    pub fn walk_ref(level: usize) -> String {
-        match level {
-            1 => "walk_ref.l1".to_string(),
-            2 => "walk_ref.l2".to_string(),
-            3 => "walk_ref.l3".to_string(),
-            _ => "walk_ref.mem".to_string(),
-        }
-    }
-}
-
-/// A mutable bag of counter values keyed by counter name.
+/// The values of the 26 Table 2 counters, indexed by [`Hec`].
 ///
 /// This is the simulator's ground-truth accumulator; the PMU model samples it
 /// periodically, and [`CounterValues::to_vector`] projects it onto any
 /// [`CounterSpace`] for analysis.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CounterValues {
-    values: BTreeMap<String, u64>,
+    values: [u64; HEC_NAMES.len()],
 }
 
 impl CounterValues {
-    /// Creates an empty set of counter values.
+    /// Creates an all-zero set of counter values.
     pub fn new() -> CounterValues {
         CounterValues::default()
     }
 
-    /// Adds one to the named counter.
-    pub fn increment(&mut self, name: &str) {
-        *self.values.entry(name.to_string()).or_insert(0) += 1;
+    /// Adds one to a counter.
+    pub fn increment(&mut self, hec: Hec) {
+        self.values[hec.index()] += 1;
     }
 
-    /// Adds `by` to the named counter.
-    pub fn add(&mut self, name: &str, by: u64) {
-        *self.values.entry(name.to_string()).or_insert(0) += by;
+    /// The current value of a counter.
+    pub fn get(&self, hec: Hec) -> u64 {
+        self.values[hec.index()]
     }
 
-    /// The current value of the named counter (zero if never incremented).
-    pub fn get(&self, name: &str) -> u64 {
-        self.values.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.values.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Projects the values onto a counter space as an `f64` vector (counters not
-    /// present default to zero).
+    /// Projects the values onto a counter space as an `f64` vector (names
+    /// outside Table 2 read zero).
     pub fn to_vector(&self, space: &CounterSpace) -> Vec<f64> {
-        space.names().iter().map(|n| self.get(n) as f64).collect()
+        self.delta_vector(&CounterValues::new(), &Hec::columns(space))
     }
 
-    /// Component-wise difference `self - earlier`, projected onto a counter space.
-    /// Used by the PMU to turn cumulative counts into per-interval increments.
+    /// Component-wise difference `self - earlier` over the given columns (see
+    /// [`Hec::columns`]; `None` columns read zero).  Used by the PMU to turn
+    /// cumulative counts into per-interval increments.
     ///
     /// # Panics
     ///
     /// Panics if any counter decreased (counters are monotone).
-    pub fn delta_vector(&self, earlier: &CounterValues, space: &CounterSpace) -> Vec<f64> {
-        space
-            .names()
+    pub fn delta_vector(&self, earlier: &CounterValues, columns: &[Option<Hec>]) -> Vec<f64> {
+        columns
             .iter()
-            .map(|n| {
-                let now = self.get(n);
-                let before = earlier.get(n);
-                assert!(now >= before, "counter {n} decreased");
+            .map(|column| {
+                let Some(hec) = *column else { return 0.0 };
+                let (now, before) = (self.get(hec), earlier.get(hec));
+                assert!(now >= before, "counter {} decreased", hec.name());
                 (now - before) as f64
             })
             .collect()
-    }
-
-    /// Total of all counters (mostly for sanity checks in tests).
-    pub fn total(&self) -> u64 {
-        self.values.values().sum()
     }
 }
 
@@ -303,27 +272,41 @@ mod tests {
     }
 
     #[test]
-    fn group_labels_and_prefixes() {
-        assert_eq!(HecGroup::Ret.label(), "Ret");
-        assert_eq!(HecGroup::Stlb.label(), "L2TLB");
-        assert!(HecGroup::Refs
-            .perf_event_prefix()
-            .contains("page_walker_loads"));
+    fn hec_ids_match_table2_names() {
+        use Event::*;
+        let events = [
+            (Ret, "ret"),
+            (RetStlbMiss, "ret_stlb_miss"),
+            (StlbHit, "stlb_hit"),
+            (StlbHit4k, "stlb_hit_4k"),
+            (StlbHit2m, "stlb_hit_2m"),
+            (CausesWalk, "causes_walk"),
+            (WalkDone, "walk_done"),
+            (WalkDone4k, "walk_done_4k"),
+            (WalkDone2m, "walk_done_2m"),
+            (WalkDone1g, "walk_done_1g"),
+            (PdeMiss, "pde$_miss"),
+        ];
+        // 22 distinct `T.event` names plus the 4 walk refs cover the table.
+        for (t, prefix) in [(AccessType::Load, "load"), (AccessType::Store, "store")] {
+            for (event, suffix) in events {
+                let name = Hec::of(t, event).name();
+                assert_eq!(name.split_once('.'), Some((prefix, suffix)));
+            }
+        }
+        let refs = (1..=4).map(|level| Hec::walk_ref(level).name());
+        assert!(refs.eq(["walk_ref.l1", "walk_ref.l2", "walk_ref.l3", "walk_ref.mem"]));
+        let columns = Hec::columns(&full_counter_space());
+        assert!(columns
+            .iter()
+            .enumerate()
+            .all(|(i, c)| c.map(Hec::index) == Some(i)));
     }
 
     #[test]
-    fn name_helpers_match_table2_names() {
-        assert_eq!(names::causes_walk(AccessType::Load), "load.causes_walk");
-        assert_eq!(names::pde_miss(AccessType::Store), "store.pde$_miss");
-        assert_eq!(names::walk_ref(1), "walk_ref.l1");
-        assert_eq!(names::walk_ref(4), "walk_ref.mem");
-        assert_eq!(names::ret(AccessType::Load), "load.ret");
-        assert_eq!(
-            names::ret_stlb_miss(AccessType::Store),
-            "store.ret_stlb_miss"
-        );
-        assert_eq!(names::stlb_hit_2m(AccessType::Load), "load.stlb_hit_2m");
-        assert_eq!(names::walk_done_1g(AccessType::Load), "load.walk_done_1g");
+    #[should_panic(expected = "1..=4")]
+    fn walk_ref_level_zero_panics() {
+        let _ = Hec::walk_ref(0);
     }
 
     #[test]
@@ -335,38 +318,33 @@ mod tests {
 
     #[test]
     fn counter_values_accumulate_and_project() {
+        let load_ret = Hec::of(AccessType::Load, Event::Ret);
         let mut values = CounterValues::new();
-        values.increment("load.ret");
-        values.increment("load.ret");
-        values.add("walk_ref.l1", 5);
-        assert_eq!(values.get("load.ret"), 2);
-        assert_eq!(values.get("walk_ref.l1"), 5);
-        assert_eq!(values.get("never.seen"), 0);
-        assert_eq!(values.total(), 7);
-
-        let space = CounterSpace::new(&["load.ret", "walk_ref.l1", "store.ret"]);
-        assert_eq!(values.to_vector(&space), vec![2.0, 5.0, 0.0]);
-        assert_eq!(values.iter().count(), 2);
+        for hec in [load_ret, load_ret, Hec::walk_ref(1)] {
+            values.increment(hec);
+        }
+        assert_eq!(values.get(load_ret), 2);
+        assert_eq!(values.get(Hec::walk_ref(2)), 0);
+        let space = CounterSpace::new(&["load.ret", "walk_ref.l1", "store.ret", "never.seen"]);
+        assert_eq!(values.to_vector(&space), vec![2.0, 1.0, 0.0, 0.0]);
     }
 
     #[test]
     fn delta_vector_subtracts_snapshots() {
         let mut earlier = CounterValues::new();
-        earlier.add("load.ret", 10);
-        let mut later = earlier.clone();
-        later.add("load.ret", 7);
-        later.add("store.ret", 3);
-        let space = CounterSpace::new(&["load.ret", "store.ret"]);
-        assert_eq!(later.delta_vector(&earlier, &space), vec![7.0, 3.0]);
+        earlier.increment(Hec::of(AccessType::Load, Event::Ret));
+        let mut later = earlier;
+        later.increment(Hec::of(AccessType::Store, Event::Ret));
+        let columns = Hec::columns(&CounterSpace::new(&["load.ret", "store.ret"]));
+        assert_eq!(later.delta_vector(&earlier, &columns), vec![0.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "decreased")]
     fn delta_vector_rejects_decreasing_counters() {
         let mut earlier = CounterValues::new();
-        earlier.add("load.ret", 10);
-        let later = CounterValues::new();
-        let space = CounterSpace::new(&["load.ret"]);
-        let _ = later.delta_vector(&earlier, &space);
+        earlier.increment(Hec::of(AccessType::Load, Event::Ret));
+        let columns = Hec::columns(&CounterSpace::new(&["load.ret"]));
+        let _ = CounterValues::new().delta_vector(&earlier, &columns);
     }
 }

@@ -5,8 +5,9 @@
 //! this crate provides the closest synthetic equivalent that exercises the same
 //! analysis code paths:
 //!
-//! * [`hec`] — the 26 address-translation HECs of the paper's Table 2, organised
-//!   into the same groups (`Ret`, `STLB`, `Walk`, `Refs`),
+//! * [`hec`] — the 26 address-translation HECs of the paper's Table 2: one static
+//!   name table in the paper's group order (`Ret`, `STLB`, `Walk`, `Refs`) and
+//!   the typed [`Hec`] ids that index it,
 //! * [`mem`] — virtual addresses, page sizes and memory accesses,
 //! * [`cache`] — a generic set-associative cache used for the data-cache hierarchy
 //!   that classifies page-walker loads (`walk_ref.l1/l2/l3/mem`) and for the MMU's
@@ -28,6 +29,7 @@
 //! # Example
 //!
 //! ```
+//! use counterpoint_haswell::hec::{AccessType, Event, Hec};
 //! use counterpoint_haswell::mmu::{HaswellMmu, MmuConfig};
 //! use counterpoint_haswell::mem::{MemoryAccess, PageSize};
 //!
@@ -37,8 +39,8 @@
 //!     mmu.access(&MemoryAccess::load(i * 64), PageSize::Size4K);
 //! }
 //! let counts = mmu.counts();
-//! assert!(counts.get("load.ret") >= 16_384);
-//! assert!(counts.get("load.causes_walk") > 0);
+//! assert!(counts.get(Hec::of(AccessType::Load, Event::Ret)) >= 16_384);
+//! assert!(counts.get(Hec::of(AccessType::Load, Event::CausesWalk)) > 0);
 //! ```
 
 pub mod cache;
@@ -49,7 +51,7 @@ pub mod mmu;
 pub mod pmu;
 pub mod tlb;
 
-pub use hec::{full_counter_space, AccessType, CounterValues, HecGroup};
+pub use hec::{full_counter_space, AccessType, CounterValues, Hec, HecGroup};
 pub use mem::{MemoryAccess, PageSize, VirtAddr};
 pub use mmu::{HaswellMmu, MmuConfig};
 pub use pmu::{MultiplexingPmu, PmuConfig};

@@ -27,7 +27,7 @@
 //! feasible for the simulated observations while feature-poor μDDs are refuted.
 
 use crate::cache::SetAssocCache;
-use crate::hec::{names, AccessType, CounterValues};
+use crate::hec::{AccessType, CounterValues, Event, Hec};
 use crate::mem::{MemoryAccess, PageSize, VirtAddr};
 use crate::tlb::{PagingStructureCaches, TlbHierarchy, TlbOutcome};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -241,7 +241,7 @@ impl HaswellMmu {
         } else {
             AccessType::Load
         };
-        self.counts.increment(&names::ret(t));
+        self.counts.increment(Hec::of(t, Event::Ret));
 
         // Prefetcher trigger scan happens in the load/store queue, i.e. before the
         // TLB is consulted, and only for loads to 4 KiB-mapped regions.
@@ -252,16 +252,16 @@ impl HaswellMmu {
         match self.tlb.lookup(access.addr, size) {
             TlbOutcome::L1Hit => AccessOutcome::L1TlbHit,
             TlbOutcome::StlbHit => {
-                self.counts.increment(&names::stlb_hit(t));
+                self.counts.increment(Hec::of(t, Event::StlbHit));
                 match size {
-                    PageSize::Size4K => self.counts.increment(&names::stlb_hit_4k(t)),
-                    PageSize::Size2M => self.counts.increment(&names::stlb_hit_2m(t)),
+                    PageSize::Size4K => self.counts.increment(Hec::of(t, Event::StlbHit4k)),
+                    PageSize::Size2M => self.counts.increment(Hec::of(t, Event::StlbHit2m)),
                     PageSize::Size1G => {}
                 }
                 AccessOutcome::StlbHit
             }
             TlbOutcome::Miss => {
-                self.counts.increment(&names::ret_stlb_miss(t));
+                self.counts.increment(Hec::of(t, Event::RetStlbMiss));
                 self.translation_request(t, access.addr, size, false)
             }
         }
@@ -327,7 +327,7 @@ impl HaswellMmu {
         if size == PageSize::Size4K {
             pde_hit = self.psc.pde_hit(addr);
             if !pde_hit {
-                self.counts.increment(&names::pde_miss(t));
+                self.counts.increment(Hec::of(t, Event::PdeMiss));
             }
         }
 
@@ -362,7 +362,7 @@ impl HaswellMmu {
             self.outstanding.pop_back();
         }
 
-        self.counts.increment(&names::causes_walk(t));
+        self.counts.increment(Hec::of(t, Event::CausesWalk));
 
         // Replay-on-first-touch: the speculative walk observes an unset accessed
         // bit and is replayed non-speculatively; the replay's references are not
@@ -375,11 +375,11 @@ impl HaswellMmu {
             AccessOutcome::MissWalked(refs)
         };
 
-        self.counts.increment(&names::walk_done(t));
+        self.counts.increment(Hec::of(t, Event::WalkDone));
         match size {
-            PageSize::Size4K => self.counts.increment(&names::walk_done_4k(t)),
-            PageSize::Size2M => self.counts.increment(&names::walk_done_2m(t)),
-            PageSize::Size1G => self.counts.increment(&names::walk_done_1g(t)),
+            PageSize::Size4K => self.counts.increment(Hec::of(t, Event::WalkDone4k)),
+            PageSize::Size2M => self.counts.increment(Hec::of(t, Event::WalkDone2m)),
+            PageSize::Size1G => self.counts.increment(Hec::of(t, Event::WalkDone1g)),
         }
 
         self.accessed.insert(page_key);
@@ -389,51 +389,49 @@ impl HaswellMmu {
     /// Issues the walker's memory references for a (non-replayed) walk, classifying
     /// each against the data-cache hierarchy, and returns how many were made.
     fn perform_walk_references(&mut self, addr: VirtAddr, size: PageSize, pde_hit: bool) -> u32 {
-        let levels: Vec<u8> = match size {
+        let levels: &'static [u8] = match size {
             PageSize::Size4K => {
                 if pde_hit {
-                    vec![1]
+                    &[1]
                 } else if self.psc.pdpte_hit(addr) {
-                    vec![2, 1]
+                    &[2, 1]
                 } else if self.psc.pml4e_hit(addr) {
-                    vec![3, 2, 1]
+                    &[3, 2, 1]
                 } else {
-                    vec![4, 3, 2, 1]
+                    &[4, 3, 2, 1]
                 }
             }
             PageSize::Size2M => {
                 if self.psc.pdpte_hit(addr) {
-                    vec![2]
+                    &[2]
                 } else if self.psc.pml4e_hit(addr) {
-                    vec![3, 2]
+                    &[3, 2]
                 } else {
-                    vec![4, 3, 2]
+                    &[4, 3, 2]
                 }
             }
             PageSize::Size1G => {
                 if self.psc.pml4e_hit(addr) {
-                    vec![3]
+                    &[3]
                 } else {
-                    vec![4, 3]
+                    &[4, 3]
                 }
             }
         };
-        let mut refs = 0u32;
-        for level in levels {
+        for &level in levels {
             let pte_line = self.page_table.entry_address(level, addr) >> 6;
-            let counter = if self.l1d.access(pte_line) {
-                names::walk_ref(1)
+            let cache_level = if self.l1d.access(pte_line) {
+                1
             } else if self.l2.access(pte_line) {
-                names::walk_ref(2)
+                2
             } else if self.l3.access(pte_line) {
-                names::walk_ref(3)
+                3
             } else {
-                names::walk_ref(4)
+                4
             };
-            self.counts.increment(&counter);
-            refs += 1;
+            self.counts.increment(Hec::walk_ref(cache_level));
         }
-        refs
+        levels.len() as u32
     }
 }
 
@@ -447,6 +445,14 @@ fn walk_key(addr: VirtAddr, size: PageSize) -> u64 {
 mod tests {
     use super::*;
 
+    fn load(event: Event) -> Hec {
+        Hec::of(AccessType::Load, event)
+    }
+
+    fn walk_refs(mmu: &HaswellMmu) -> u64 {
+        (1..=4).map(|l| mmu.counts().get(Hec::walk_ref(l))).sum()
+    }
+
     fn linear_accesses(bytes: u64, stride: u64) -> Vec<MemoryAccess> {
         (0..bytes / stride)
             .map(|i| MemoryAccess::load(i * stride))
@@ -457,7 +463,7 @@ mod tests {
     fn every_access_retires() {
         let mut mmu = HaswellMmu::new(MmuConfig::haswell());
         mmu.run(linear_accesses(1 << 20, 64), PageSize::Size4K);
-        assert_eq!(mmu.counts().get("load.ret"), (1 << 20) / 64);
+        assert_eq!(mmu.counts().get(load(Event::Ret)), (1 << 20) / 64);
         assert_eq!(mmu.accesses(), (1 << 20) / 64);
     }
 
@@ -468,10 +474,11 @@ mod tests {
             .map(|i| MemoryAccess::store(i * 4096))
             .collect();
         mmu.run(accesses, PageSize::Size4K);
-        assert_eq!(mmu.counts().get("store.ret"), 1000);
-        assert_eq!(mmu.counts().get("load.ret"), 0);
-        assert!(mmu.counts().get("store.causes_walk") > 0);
-        assert_eq!(mmu.counts().get("load.causes_walk"), 0);
+        let store = |event| mmu.counts().get(Hec::of(AccessType::Store, event));
+        assert_eq!(store(Event::Ret), 1000);
+        assert_eq!(mmu.counts().get(load(Event::Ret)), 0);
+        assert!(store(Event::CausesWalk) > 0);
+        assert_eq!(mmu.counts().get(load(Event::CausesWalk)), 0);
     }
 
     #[test]
@@ -481,23 +488,27 @@ mod tests {
         mmu.run(accesses, PageSize::Size4K);
         // Only accesses issued before the first walk's fill becomes visible can
         // miss, and only the first of them starts a walk.
-        assert!(mmu.counts().get("load.ret_stlb_miss") <= MmuConfig::haswell().walk_latency + 1);
-        assert_eq!(mmu.counts().get("load.causes_walk"), 1);
+        assert!(
+            mmu.counts().get(load(Event::RetStlbMiss)) <= MmuConfig::haswell().walk_latency + 1
+        );
+        assert_eq!(mmu.counts().get(load(Event::CausesWalk)), 1);
     }
 
     #[test]
     fn walks_complete_for_every_page_size() {
-        for size in PageSize::ALL {
+        for (size, done_size) in [
+            (PageSize::Size4K, Event::WalkDone4k),
+            (PageSize::Size2M, Event::WalkDone2m),
+            (PageSize::Size1G, Event::WalkDone1g),
+        ] {
             let mut mmu = HaswellMmu::new(MmuConfig::haswell());
             let accesses: Vec<MemoryAccess> = (0..64u64)
                 .map(|i| MemoryAccess::load(i * size.bytes()))
                 .collect();
             mmu.run(accesses, size);
-            let done = mmu
-                .counts()
-                .get(&format!("load.walk_done_{}", size.label()));
+            let done = mmu.counts().get(load(done_size));
             assert!(done > 0, "no completed walks for {size}");
-            assert_eq!(mmu.counts().get("load.walk_done"), done);
+            assert_eq!(mmu.counts().get(load(Event::WalkDone)), done);
         }
     }
 
@@ -514,7 +525,7 @@ mod tests {
         mmu.run(accesses, PageSize::Size4K);
         assert!(mmu.merged_walks() > 0);
         assert!(
-            mmu.counts().get("load.ret_stlb_miss") > mmu.counts().get("load.walk_done"),
+            mmu.counts().get(load(Event::RetStlbMiss)) > mmu.counts().get(load(Event::WalkDone)),
             "merging should make retired STLB misses exceed completed walks"
         );
     }
@@ -531,8 +542,8 @@ mod tests {
         mmu.run(accesses, PageSize::Size4K);
         assert_eq!(mmu.merged_walks(), 0);
         assert_eq!(
-            mmu.counts().get("load.ret_stlb_miss"),
-            mmu.counts().get("load.causes_walk")
+            mmu.counts().get(load(Event::RetStlbMiss)),
+            mmu.counts().get(load(Event::CausesWalk))
         );
     }
 
@@ -551,10 +562,10 @@ mod tests {
         }
         mmu.run(accesses, PageSize::Size4K);
         assert!(
-            mmu.counts().get("load.pde$_miss") > mmu.counts().get("load.causes_walk"),
+            mmu.counts().get(load(Event::PdeMiss)) > mmu.counts().get(load(Event::CausesWalk)),
             "early PSC lookup + merging should let pde$_miss ({}) exceed causes_walk ({})",
-            mmu.counts().get("load.pde$_miss"),
-            mmu.counts().get("load.causes_walk")
+            mmu.counts().get(load(Event::PdeMiss)),
+            mmu.counts().get(load(Event::CausesWalk))
         );
     }
 
@@ -567,7 +578,7 @@ mod tests {
         let pass = linear_accesses(footprint, 64);
         let mut mmu = HaswellMmu::new(MmuConfig::haswell());
         mmu.run(pass.clone(), PageSize::Size4K);
-        let misses_first = mmu.counts().get("load.ret_stlb_miss");
+        let misses_first = mmu.counts().get(load(Event::RetStlbMiss));
         mmu.run(pass.clone(), PageSize::Size4K);
         mmu.run(pass, PageSize::Size4K);
         assert!(
@@ -576,8 +587,8 @@ mod tests {
         );
         // In the steady state most pages are covered by prefetch, so walks exceed
         // retired STLB misses accumulated after the first pass.
-        let misses_total = mmu.counts().get("load.ret_stlb_miss");
-        let walks = mmu.counts().get("load.causes_walk");
+        let misses_total = mmu.counts().get(load(Event::RetStlbMiss));
+        let walks = mmu.counts().get(load(Event::CausesWalk));
         assert!(
             walks > misses_total - misses_first,
             "prefetch-induced walks ({walks}) should exceed demand misses after warm-up"
@@ -616,8 +627,8 @@ mod tests {
             .collect();
         mmu.run(accesses, PageSize::Size4K);
         assert!(mmu.replayed_walks() > 0);
-        let total_refs: u64 = (1..=4).map(|l| mmu.counts().get(&names::walk_ref(l))).sum();
-        let walks = mmu.counts().get("load.causes_walk");
+        let total_refs = walk_refs(&mmu);
+        let walks = mmu.counts().get(load(Event::CausesWalk));
         assert!(
             total_refs < walks,
             "replayed walks should leave walk_ref ({total_refs}) below causes_walk ({walks})"
@@ -634,8 +645,7 @@ mod tests {
             .map(|i| MemoryAccess::load(i * 4096))
             .collect();
         mmu.run(accesses, PageSize::Size4K);
-        let total_refs: u64 = (1..=4).map(|l| mmu.counts().get(&names::walk_ref(l))).sum();
-        assert!(total_refs >= mmu.counts().get("load.causes_walk"));
+        assert!(walk_refs(&mmu) >= mmu.counts().get(load(Event::CausesWalk)));
     }
 
     #[test]
@@ -652,9 +662,7 @@ mod tests {
                 .map(|i| MemoryAccess::load((i % 64) << 30))
                 .collect();
             mmu.run(accesses, PageSize::Size1G);
-            (1..=4)
-                .map(|l| mmu.counts().get(&names::walk_ref(l)))
-                .sum::<u64>()
+            walk_refs(&mmu)
         };
         assert!(run_refs(true) < run_refs(false));
     }
@@ -670,8 +678,8 @@ mod tests {
             .collect();
         mmu.run(accesses, PageSize::Size4K);
         assert_eq!(
-            mmu.counts().get("load.stlb_hit"),
-            mmu.counts().get("load.stlb_hit_4k")
+            mmu.counts().get(load(Event::StlbHit)),
+            mmu.counts().get(load(Event::StlbHit4k))
         );
     }
 
@@ -685,11 +693,10 @@ mod tests {
         assert_eq!(mmu.replayed_walks(), 0);
         // Without merging or prefetching, misses and walks line up exactly.
         assert_eq!(
-            mmu.counts().get("load.ret_stlb_miss"),
-            mmu.counts().get("load.causes_walk")
+            mmu.counts().get(load(Event::RetStlbMiss)),
+            mmu.counts().get(load(Event::CausesWalk))
         );
-        let total_refs: u64 = (1..=4).map(|l| mmu.counts().get(&names::walk_ref(l))).sum();
-        assert!(total_refs >= mmu.counts().get("load.causes_walk"));
+        assert!(walk_refs(&mmu) >= mmu.counts().get(load(Event::CausesWalk)));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! phase-dependent intensity, counts each event only on the slices its group is
 //! scheduled on, and extrapolates.
 
-use crate::hec::CounterValues;
+use crate::hec::Hec;
 use crate::mem::{MemoryAccess, PageSize};
 use crate::mmu::HaswellMmu;
 use counterpoint_mudd::CounterSpace;
@@ -91,14 +91,15 @@ pub fn ground_truth_intervals(
 ) -> Vec<Vec<f64>> {
     assert!(intervals > 0, "need at least one measurement interval");
     let chunk = (accesses.len() / intervals).max(1);
+    let columns = Hec::columns(space);
     let mut true_increments = Vec::with_capacity(intervals);
-    let mut previous: CounterValues = mmu.counts().clone();
+    let mut previous = *mmu.counts();
     for slice in accesses.chunks(chunk) {
         for a in slice {
             mmu.access(a, page_size);
         }
-        let now = mmu.counts().clone();
-        true_increments.push(now.delta_vector(&previous, space));
+        let now = *mmu.counts();
+        true_increments.push(now.delta_vector(&previous, &columns));
         previous = now;
     }
     true_increments

@@ -9,7 +9,8 @@
 //! abort-only model is refuted — matching the paper's finding that aborts alone are
 //! insufficient.
 
-use counterpoint_haswell::hec::{names, AccessType};
+use crate::demand::walk_ref_arms;
+use counterpoint_haswell::hec::{AccessType, Event, Hec};
 use counterpoint_mudd::{CounterSpace, MuDd, MuDdBuilder, NodeId};
 use serde::Serialize;
 
@@ -68,7 +69,7 @@ pub fn abort_request_mudd(space: &CounterSpace, points: &[AbortPoint]) -> Option
                 b.causal_labeled(which, pde, point.label());
                 let end_hit = b.end();
                 b.causal_labeled(pde, end_hit, "Hit");
-                let miss = b.counter(&names::pde_miss(AccessType::Load));
+                let miss = b.counter(Hec::of(AccessType::Load, Event::PdeMiss).name());
                 b.causal_labeled(pde, miss, "Miss");
                 let end_miss = b.end();
                 b.causal(miss, end_miss);
@@ -77,12 +78,12 @@ pub fn abort_request_mudd(space: &CounterSpace, points: &[AbortPoint]) -> Option
                 let pde = b.decision("AbPdeWalk");
                 b.causal_labeled(which, pde, point.label());
                 // Either PDE status is possible before the walk starts.
-                let causes_hit = b.counter(&names::causes_walk(AccessType::Load));
+                let causes_hit = b.counter(Hec::of(AccessType::Load, Event::CausesWalk).name());
                 b.causal_labeled(pde, causes_hit, "Hit");
                 partial_refs(&mut b, causes_hit, "hit");
-                let miss = b.counter(&names::pde_miss(AccessType::Load));
+                let miss = b.counter(Hec::of(AccessType::Load, Event::PdeMiss).name());
                 b.causal_labeled(pde, miss, "Miss");
-                let causes_miss = b.counter(&names::causes_walk(AccessType::Load));
+                let causes_miss = b.counter(Hec::of(AccessType::Load, Event::CausesWalk).name());
                 b.causal(miss, causes_miss);
                 partial_refs(&mut b, causes_miss, "miss");
             }
@@ -104,19 +105,10 @@ fn partial_refs(b: &mut MuDdBuilder, from: NodeId, tag: &str) {
     for k in 1..=3u32 {
         let level = b.decision(&format!("AbRefLevel_{tag}_{k}"));
         b.causal_labeled(count, level, &format!("R{k}"));
-        for (arm, lvl) in [("L1", 1usize), ("L2", 2), ("L3", 3), ("Mem", 4)] {
-            let mut prev: Option<NodeId> = None;
-            for _ in 0..k {
-                let c = b.counter(&names::walk_ref(lvl));
-                match prev {
-                    None => b.causal_labeled(level, c, arm),
-                    Some(p) => b.causal(p, c),
-                }
-                prev = Some(c);
-            }
-            let e = b.end();
-            b.causal(prev.expect("k >= 1"), e);
-        }
+        walk_ref_arms(b, level, k, |b, tail| {
+            let end = b.end();
+            b.causal(tail, end);
+        });
     }
 }
 
@@ -147,9 +139,7 @@ mod tests {
         let space = full_counter_space();
         let mudd = abort_request_mudd(&space, &[AbortPoint::DuringWalk]).unwrap();
         let causes = space.index_of("load.causes_walk").unwrap();
-        let refs: Vec<usize> = (1..=4)
-            .map(|l| space.index_of(&names::walk_ref(l)).unwrap())
-            .collect();
+        let refs: Vec<usize> = (1..=4).map(|l| Hec::walk_ref(l).index()).collect();
         let paths = mudd.enumerate_paths().unwrap();
         // Walk started with zero references.
         assert!(paths.iter().any(|p| {

@@ -15,7 +15,7 @@
 use crate::features::{has, Feature};
 use crate::prefetch::attach_prefetch_trigger;
 use counterpoint_core::FeatureSet;
-use counterpoint_haswell::hec::{names, AccessType};
+use counterpoint_haswell::hec::{AccessType, Event, Hec};
 use counterpoint_haswell::mem::PageSize;
 use counterpoint_mudd::{CounterSpace, MuDd, MuDdBuilder, NodeId};
 
@@ -109,7 +109,7 @@ pub fn demand_mudd(space: &CounterSpace, opts: &DemandOptions) -> MuDd {
     };
     let mut b = MuDdBuilder::new(&format!("demand_{t}"), space);
     let start = b.start();
-    let ret = b.counter(&names::ret(t));
+    let ret = b.counter(Hec::of(t, Event::Ret).name());
     b.causal(start, ret);
     let psize = b.decision("PageSize");
     b.causal(ret, psize);
@@ -136,7 +136,7 @@ fn size_branch(b: &mut MuDdBuilder, ctx: &mut Ctx<'_>, from: NodeId, size: PageS
     if size == PageSize::Size1G {
         // 1 GiB translations are not held in the STLB: an L1 miss goes straight to
         // the MMU.
-        let miss = b.counter(&names::ret_stlb_miss(t));
+        let miss = b.counter(Hec::of(t, Event::RetStlbMiss).name());
         connect(b, l1, Some("Miss"), miss);
         translation_request(b, ctx, miss, None, size);
         return;
@@ -146,17 +146,17 @@ fn size_branch(b: &mut MuDdBuilder, ctx: &mut Ctx<'_>, from: NodeId, size: PageS
     connect(b, l1, Some("Miss"), stlb);
 
     // STLB hit.
-    let hit = b.counter(&names::stlb_hit(t));
+    let hit = b.counter(Hec::of(t, Event::StlbHit).name());
     connect(b, stlb, Some("Hit"), hit);
     let hit_size = match size {
-        PageSize::Size4K => b.counter(&names::stlb_hit_4k(t)),
-        _ => b.counter(&names::stlb_hit_2m(t)),
+        PageSize::Size4K => b.counter(Hec::of(t, Event::StlbHit4k).name()),
+        _ => b.counter(Hec::of(t, Event::StlbHit2m).name()),
     };
     b.causal(hit, hit_size);
     terminate(b, ctx, hit_size, None, Progress::StlbHit);
 
     // STLB miss: the μop retires with a miss and sends a translation request.
-    let miss = b.counter(&names::ret_stlb_miss(t));
+    let miss = b.counter(Hec::of(t, Event::RetStlbMiss).name());
     connect(b, stlb, Some("Miss"), miss);
     translation_request(b, ctx, miss, None, size);
 }
@@ -174,7 +174,7 @@ fn translation_request(
         let pde = b.decision("Pde4K");
         connect(b, from, label, pde);
         after_pde(b, ctx, pde, Some("Hit"), size, Some(true));
-        let miss = b.counter(&names::pde_miss(ctx.opts.access));
+        let miss = b.counter(Hec::of(ctx.opts.access, Event::PdeMiss).name());
         connect(b, pde, Some("Miss"), miss);
         after_pde(b, ctx, miss, None, size, Some(false));
     } else {
@@ -216,7 +216,7 @@ fn walk_entry(
         let pde = b.decision("Pde4K");
         connect(b, from, label, pde);
         start_walk(b, ctx, pde, Some("Hit"), size, Some(true));
-        let miss = b.counter(&names::pde_miss(ctx.opts.access));
+        let miss = b.counter(Hec::of(ctx.opts.access, Event::PdeMiss).name());
         connect(b, pde, Some("Miss"), miss);
         start_walk(b, ctx, miss, None, size, Some(false));
     } else {
@@ -233,7 +233,7 @@ fn start_walk(
     pde_hit: Option<bool>,
 ) {
     let t = ctx.opts.access;
-    let causes = b.counter(&names::causes_walk(t));
+    let causes = b.counter(Hec::of(t, Event::CausesWalk).name());
     connect(b, from, label, causes);
     if ctx.bypass {
         let bypass = b.decision(&ctx.fresh("Bypass"));
@@ -300,6 +300,12 @@ fn upper_levels(
 
 /// Emits `count` walker references (reduced level representation: one level choice
 /// for all of them), then the walk-completion counters, then terminates the path.
+///
+/// The simulator classifies each reference on its own, so a walk may mix levels
+/// (`walk_ref.l1 + walk_ref.mem`): no single μpath, but with `n_L` of its `count`
+/// references at level `L` it is `Σ_L (n_L / count) · u_L`, a convex combination
+/// of this diagram's uniform-level paths `u_L`, so it lies in the same cone.  The
+/// simulator↔μDD invariant test compares walks with the `walk_ref.*` counters summed.
 fn emit_refs(
     b: &mut MuDdBuilder,
     ctx: &mut Ctx<'_>,
@@ -310,18 +316,31 @@ fn emit_refs(
 ) {
     let level_decision = b.decision(&ctx.fresh("RefLevel"));
     connect(b, from, label, level_decision);
-    for (arm, level) in [("L1", 1usize), ("L2", 2), ("L3", 3), ("Mem", 4)] {
-        let mut prev: Option<NodeId> = None;
-        for _ in 0..count {
-            let c = b.counter(&names::walk_ref(level));
-            match prev {
-                None => b.causal_labeled(level_decision, c, arm),
-                Some(p) => b.causal(p, c),
-            }
-            prev = Some(c);
-        }
-        let tail = prev.expect("count >= 1");
-        walk_done(b, ctx, tail, None, size);
+    walk_ref_arms(b, level_decision, count, |b, tail| {
+        walk_done(b, ctx, tail, None, size)
+    });
+}
+
+/// Under `decision`, one arm per cache level (`L1`, `L2`, `L3`, `Mem`): a chain
+/// of `count >= 1` walker-reference counters at that level (the reduced level
+/// representation), continued by `then` from the chain's last counter.
+pub(crate) fn walk_ref_arms(
+    b: &mut MuDdBuilder,
+    decision: NodeId,
+    count: u32,
+    mut then: impl FnMut(&mut MuDdBuilder, NodeId),
+) {
+    assert!(count >= 1, "a reference arm needs at least one reference");
+    for (arm, level) in [("L1", 1), ("L2", 2), ("L3", 3), ("Mem", 4)] {
+        let name = Hec::walk_ref(level).name();
+        let first = b.counter(name);
+        b.causal_labeled(decision, first, arm);
+        let tail = (1..count).fold(first, |prev, _| {
+            let next = b.counter(name);
+            b.causal(prev, next);
+            next
+        });
+        then(b, tail);
     }
 }
 
@@ -334,12 +353,12 @@ fn walk_done(
     size: PageSize,
 ) {
     let t = ctx.opts.access;
-    let done = b.counter(&names::walk_done(t));
+    let done = b.counter(Hec::of(t, Event::WalkDone).name());
     connect(b, from, label, done);
     let done_size = match size {
-        PageSize::Size4K => b.counter(&names::walk_done_4k(t)),
-        PageSize::Size2M => b.counter(&names::walk_done_2m(t)),
-        PageSize::Size1G => b.counter(&names::walk_done_1g(t)),
+        PageSize::Size4K => b.counter(Hec::of(t, Event::WalkDone4k).name()),
+        PageSize::Size2M => b.counter(Hec::of(t, Event::WalkDone2m).name()),
+        PageSize::Size1G => b.counter(Hec::of(t, Event::WalkDone1g).name()),
     };
     b.causal(done, done_size);
     terminate(b, ctx, done_size, None, Progress::StlbMiss);
@@ -482,9 +501,7 @@ mod tests {
         );
         let s = space();
         let done = s.index_of("load.walk_done").unwrap();
-        let refs: Vec<usize> = (1..=4)
-            .map(|l| s.index_of(&names::walk_ref(l)).unwrap())
-            .collect();
+        let refs: Vec<usize> = (1..=4).map(|l| Hec::walk_ref(l).index()).collect();
         assert!(with.enumerate_paths().unwrap().iter().any(|p| {
             p.signature().get(done) == 1 && refs.iter().all(|&r| p.signature().get(r) == 0)
         }));
@@ -496,9 +513,7 @@ mod tests {
         let count_min_1g_refs = |features: &FeatureSet| {
             let mudd = demand_mudd(&s, &DemandOptions::new(AccessType::Load, features));
             let done_1g = s.index_of("load.walk_done_1g").unwrap();
-            let refs: Vec<usize> = (1..=4)
-                .map(|l| s.index_of(&names::walk_ref(l)).unwrap())
-                .collect();
+            let refs: Vec<usize> = (1..=4).map(|l| Hec::walk_ref(l).index()).collect();
             mudd.enumerate_paths()
                 .unwrap()
                 .iter()

@@ -15,7 +15,8 @@
 //! walker resolves prefetches by injecting load μops regardless of which μop
 //! triggered the prefetch.
 
-use counterpoint_haswell::hec::{names, AccessType};
+use crate::demand::walk_ref_arms;
+use counterpoint_haswell::hec::{AccessType, Event, Hec};
 use counterpoint_mudd::{CounterSpace, MuDd, MuDdBuilder, NodeId};
 use serde::Serialize;
 
@@ -97,7 +98,7 @@ fn build_prefetch_request(
         let pde = b.decision("PfPde");
         connect(b, from, label, pde);
         prefetch_outcome(b, pde, Some("Hit"), Some(true), pml4e);
-        let miss = b.counter(&names::pde_miss(AccessType::Load));
+        let miss = b.counter(Hec::of(AccessType::Load, Event::PdeMiss).name());
         b.causal_labeled(pde, miss, "Miss");
         prefetch_outcome(b, miss, None, Some(false), pml4e);
     } else {
@@ -127,7 +128,7 @@ fn prefetch_outcome(
             let pde = b.decision("PfPde");
             b.causal_labeled(outcome, pde, "Walk");
             prefetch_walk(b, pde, Some("Hit"), true, pml4e);
-            let miss = b.counter(&names::pde_miss(AccessType::Load));
+            let miss = b.counter(Hec::of(AccessType::Load, Event::PdeMiss).name());
             b.causal_labeled(pde, miss, "Miss");
             prefetch_walk(b, miss, None, false, pml4e);
         }
@@ -141,7 +142,7 @@ fn prefetch_walk(
     pde_hit: bool,
     pml4e: bool,
 ) {
-    let causes = b.counter(&names::causes_walk(AccessType::Load));
+    let causes = b.counter(Hec::of(AccessType::Load, Event::CausesWalk).name());
     connect(b, from, label, causes);
     if pde_hit {
         emit_prefetch_refs(b, causes, None, 1);
@@ -163,23 +164,14 @@ fn prefetch_walk(
 fn emit_prefetch_refs(b: &mut MuDdBuilder, from: NodeId, label: Option<&str>, count: u32) {
     let level = b.decision(&format!("PfRefLevel{count}"));
     connect(b, from, label, level);
-    for (arm, lvl) in [("L1", 1usize), ("L2", 2), ("L3", 3), ("Mem", 4)] {
-        let mut prev: Option<NodeId> = None;
-        for _ in 0..count {
-            let c = b.counter(&names::walk_ref(lvl));
-            match prev {
-                None => b.causal_labeled(level, c, arm),
-                Some(p) => b.causal(p, c),
-            }
-            prev = Some(c);
-        }
-        let done = b.counter(&names::walk_done(AccessType::Load));
-        b.causal(prev.expect("count >= 1"), done);
-        let done_4k = b.counter(&names::walk_done_4k(AccessType::Load));
+    walk_ref_arms(b, level, count, |b, tail| {
+        let done = b.counter(Hec::of(AccessType::Load, Event::WalkDone).name());
+        b.causal(tail, done);
+        let done_4k = b.counter(Hec::of(AccessType::Load, Event::WalkDone4k).name());
         b.causal(done, done_4k);
         let end = b.end();
         b.causal(done_4k, end);
-    }
+    });
 }
 
 #[cfg(test)]
@@ -230,9 +222,7 @@ mod tests {
     fn prefetch_without_pml4e_needs_at_least_two_refs_on_psc_miss() {
         let space = full_counter_space();
         let mudd = standalone_prefetch_mudd(&space, true, false);
-        let refs: Vec<usize> = (1..=4)
-            .map(|l| space.index_of(&names::walk_ref(l)).unwrap())
-            .collect();
+        let refs: Vec<usize> = (1..=4).map(|l| Hec::walk_ref(l).index()).collect();
         let pde = space.index_of("load.pde$_miss").unwrap();
         let done = space.index_of("load.walk_done").unwrap();
         for p in mudd.enumerate_paths().unwrap() {

@@ -678,6 +678,16 @@ mod tests {
         // The finite observations keep their verdicts.
         assert!(report.verdict("base", "balanced").unwrap().is_refuted());
         assert!(report.verdict("with-fy", "balanced").unwrap().is_feasible());
+        // Non-finite means serialize as `null` and read back as NaN.
+        let json = report.to_json();
+        let back = Report::from_json(&json).unwrap();
+        let [.., nan, inf] = &back.observations[..] else {
+            panic!("observations lost")
+        };
+        assert!(nan.mean[0].is_nan() && nan.mean[1] == 1.0);
+        assert!(inf.mean[0].is_nan());
+        assert_eq!(back.observations[0], report.observations[0]);
+        assert_eq!(back.to_json(), json);
     }
 
     #[test]

@@ -14,23 +14,39 @@ use crate::error::SessionError;
 use crate::verdict::Verdict;
 use counterpoint_core::SearchGraph;
 use counterpoint_telemetry::TelemetryReport;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::path::Path;
 
 /// The report file format version this crate writes and accepts.
 pub const REPORT_FORMAT_VERSION: u32 = 1;
 
 /// Summary of one observation the inquiry tested models against.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ObservationSummary {
     /// The observation's name (workload / configuration label).
     pub name: String,
-    /// Sample-mean counter values.
+    /// Sample-mean counter values.  JSON has no non-finite numbers: a NaN or
+    /// infinite entry (an observation the engine reports inconclusive)
+    /// serializes as `null` and reads back as NaN.
     pub mean: Vec<f64>,
     /// Number of samples behind the confidence region.
     pub samples: usize,
     /// Confidence level of the region.
     pub confidence: f64,
+}
+
+// Reads the `null` that a non-finite mean entry serializes to back as NaN.
+impl Deserialize for ObservationSummary {
+    fn from_value(value: &Value) -> Result<ObservationSummary, DeError> {
+        let field = |name: &str| serde::expect_field(value, name, "ObservationSummary");
+        let mean: Vec<Option<f64>> = Vec::from_value(field("mean")?)?;
+        Ok(ObservationSummary {
+            name: String::from_value(field("name")?)?,
+            mean: mean.into_iter().map(|x| x.unwrap_or(f64::NAN)).collect(),
+            samples: usize::from_value(field("samples")?)?,
+            confidence: f64::from_value(field("confidence")?)?,
+        })
+    }
 }
 
 /// One row of the verdict matrix: a model and its verdict per observation.
@@ -167,7 +183,7 @@ impl Report {
     /// Renders the report as pretty-printed JSON — the CI artifact format.
     /// Deterministic: identical inquiries produce identical bytes.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report values are finite")
+        serde_json::to_string_pretty(self).expect("report JSON rendering is infallible")
     }
 
     /// Parses a report from JSON text, rejecting unknown format versions.
